@@ -30,6 +30,26 @@ std::vector<T> field(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// Smooth signed 2-D field on an integer lattice: a paraboloid shifted
+/// below zero, so it has a negative disc, exact zeros where the lattice
+/// meets the level set, and positive values elsewhere. Every value is an
+/// integer over 2^12, exact in float and double on every platform.
+template <typename T>
+std::vector<T> paraboloid(std::size_t ny, std::size_t nx) {
+  std::vector<T> out(ny * nx);
+  for (std::size_t y = 0; y < ny; ++y)
+    for (std::size_t x = 0; x < nx; ++x) {
+      const auto dy = static_cast<long long>(y) -
+                      static_cast<long long>(ny / 3);
+      const auto dx = static_cast<long long>(x) -
+                      static_cast<long long>(nx / 2);
+      out[y * nx + x] =
+          static_cast<T>(static_cast<double>(dx * dx + dy * dy - 2500) *
+                         0x1.0p-12);
+    }
+  return out;
+}
+
 /// Compressible byte stream (few distinct values, long matches).
 inline std::vector<std::uint8_t> bytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);

@@ -12,10 +12,12 @@
 
 #include "common/checksum.h"
 #include "common/types.h"
+#include "compat/golden_fields.h"
 #include "core/transformed.h"
 #include "lossless/lossless.h"
 #include "sz/interp.h"
 #include "sz/sz.h"
+#include "zfp/zfp.h"
 
 namespace transpwr {
 namespace {
@@ -92,6 +94,36 @@ TEST(GoldenV1, SzTransformedFloat) {
   auto out = transformed_decompress<float>(stream, &dims);
   EXPECT_EQ(dims, Dims(24, 18));
   EXPECT_EQ(payload_fnv(out), 0x99475ff3285960a5ULL);
+}
+
+// A ZFP_T stream whose inner ZFP payload spans two block groups (4160 2-D
+// blocks), written as one serial bit stream (TFP1 layout byte 0) by the
+// encoder that predates grouped payloads. Generated from
+// golden::paraboloid<float>(257, 256) at rel_bound 1e-2.
+TEST(GoldenV1, ZfpTransformedFloatSerialPayload) {
+  auto stream = load("zfpt_f32.v1");
+  ASSERT_FALSE(stream.empty());
+  Dims dims;
+  auto out = transformed_decompress<float>(stream, &dims);
+  EXPECT_EQ(dims, Dims(257, 256));
+  EXPECT_EQ(payload_fnv(out), 0xbfda88d7bd4e2887ULL);
+}
+
+// Fixed-rate ZFP (rate 2) over the same field. Fixed-rate streams carry no
+// directory, so the current encoder must still reproduce the committed
+// bytes exactly, at any thread count.
+TEST(GoldenV1, ZfpFixedRateFloatBytesAreStable) {
+  auto committed = load("zfp_rate_f32.v1");
+  ASSERT_FALSE(committed.empty());
+  auto data = golden::paraboloid<float>(257, 256);
+  zfp::Params p;
+  p.mode = zfp::Mode::kRate;
+  p.rate = 2.0;
+  EXPECT_EQ(zfp::compress<float>(data, Dims(257, 256), p), committed);
+  Dims dims;
+  auto out = zfp::decompress<float>(committed, &dims);
+  EXPECT_EQ(dims, Dims(257, 256));
+  EXPECT_EQ(payload_fnv(out), 0x87bc080c8423994cULL);
 }
 
 }  // namespace
