@@ -34,6 +34,7 @@ class ByteWriter {
     put_bytes(b);
   }
 
+  void reserve(std::size_t n) { bytes_.reserve(n); }
   std::size_t size() const { return bytes_.size(); }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 

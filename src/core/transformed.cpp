@@ -66,6 +66,7 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
       zfp::Params zp;
       zp.mode = zfp::Mode::kAccuracy;
       zp.tolerance = tr.adjusted_abs_bound;
+      zp.threads = p.threads;
       inner = zfp::compress<T>(tr.mapped, dims, zp);
     }
   }
@@ -124,7 +125,7 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
     else if (codec == InnerCodec::kSzInterp)
       mapped = sz_interp::decompress<T>(inner, &dims, threads);
     else
-      mapped = zfp::decompress<T>(inner, &dims);
+      mapped = zfp::decompress<T>(inner, &dims, threads);
   }
   if (dims_out) *dims_out = dims;
 

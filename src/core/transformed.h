@@ -21,7 +21,9 @@ struct TransformedParams {
   double rel_bound = 1e-3;
   double log_base = 2.0;
   std::uint32_t quant_intervals = 65536;  ///< SZ inner codec only
-  std::size_t threads = 0;  ///< transform-stage workers; 0 => hardware
+  /// Workers for every stage (log map, inner codec, sign coding);
+  /// 0 => hardware. The stream bytes are the same for every value.
+  std::size_t threads = 0;
 };
 
 /// Timing breakdown of the transform stages (paper Table III).
@@ -39,8 +41,8 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
                                                const TransformedParams& p,
                                                StageTimes* times = nullptr);
 
-/// `threads` controls the inverse-transform stage; 0 => hardware
-/// concurrency.
+/// `threads` bounds the inner-decode and inverse-transform workers;
+/// 0 => hardware concurrency.
 template <typename T>
 std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
                                       Dims* dims_out = nullptr,

@@ -116,6 +116,24 @@ std::vector<CorpusCase> build_cases() {
     auto bad_tol = s;
     patch_f64(bad_tol, 32, -1.0);
     cases.push_back({"zfp_negative_tolerance", std::move(bad_tol)});
+    auto bad_layout = s;
+    patch(bad_layout, 7, {0xff});
+    cases.push_back({"zfp_bad_layout_byte", std::move(bad_layout)});
+  }
+  {  // zfp group directory: 257 x 256 zeros is two block groups (4096 +
+     // 64 one-bit skipped blocks), so the stream carries layout byte 1, the
+     // directory length at 52 and the two u64 end offsets at 60 and 68.
+    zfp::Params p;
+    Dims d2(257, 256);
+    auto s = zfp::compress<float>(std::vector<float>(d2.count(), 0.0f), d2,
+                                  p);
+    if (s[7] != 1) throw std::logic_error("corpus: zfp stream not grouped");
+    auto past_end = s;
+    patch_u64(past_end, 68, std::uint64_t{1} << 40);
+    cases.push_back({"zfp_group_dir_past_end", std::move(past_end)});
+    auto not_monotone = s;
+    patch_u64(not_monotone, 68, 0);
+    cases.push_back({"zfp_group_dir_not_monotone", std::move(not_monotone)});
   }
   {  // fpzip header: entropy byte at 6.
     fpzip::Params p;

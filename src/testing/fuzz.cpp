@@ -58,6 +58,13 @@ std::vector<std::vector<std::uint8_t>> scheme_corpus(Scheme scheme,
     auto data = make_field<T>(s.family, dims.count(), seed);
     corpus.push_back(comp->compress(data, dims, params));
   }
+  if (scheme == Scheme::kZfpT || scheme == Scheme::kZfpP) {
+    // Two ZFP block groups (65 x 64 blocks of 4096 per group), so
+    // mutations reach the group directory and the group boundaries.
+    const Dims dims(257, 256);
+    auto data = make_field<T>(Family::kRandomSmooth, dims.count(), seed);
+    corpus.push_back(comp->compress(data, dims, params));
+  }
   return corpus;
 }
 

@@ -42,6 +42,9 @@ struct Params {
   double tolerance = 1e-3;
   std::uint32_t precision = 26;  ///< kPrecision: bit planes kept
   double rate = 8.0;             ///< kRate: bits per value, [1, 8*sizeof(T)]
+  /// Block-group coding workers; 0 => hardware concurrency. The stream
+  /// bytes are the same for every value.
+  std::size_t threads = 0;
 };
 
 /// kRate: exact payload bits one block consumes at the given rate.
@@ -50,20 +53,27 @@ std::size_t block_bits_for_rate(double rate, int nd);
 /// Random access into a kRate stream: decode the single 4^d block at block
 /// coordinates (bz, by, bx) without touching the rest of the payload — the
 /// capability fixed-rate mode exists for. Returns the 4^nd block values
-/// (including padding positions of partial blocks). Throws for non-kRate
-/// streams or out-of-range coordinates.
+/// (including padding positions of partial blocks). Throws ParamError for
+/// valid non-kRate streams or out-of-range coordinates, StreamError for a
+/// corrupt header.
 template <typename T>
 std::vector<T> decode_block_at(std::span<const std::uint8_t> stream,
                                std::size_t bz, std::size_t by,
                                std::size_t bx);
 
+/// Blocks are coded in groups of 2^16 values in raster block order, the
+/// groups in parallel. Variable-rate streams of more than one group carry a
+/// directory of group end offsets (TFP1 layout byte 1) so decode can fan
+/// out too; see docs/formats.md.
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
                                    const Params& params);
 
+/// `threads` bounds the group-decoding workers; 0 => hardware concurrency.
+/// Serial (layout 0) variable-rate payloads decode on one thread.
 template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> stream,
-                          Dims* dims_out = nullptr);
+                          Dims* dims_out = nullptr, std::size_t threads = 0);
 
 /// Expose the forward transform of a single gathered block for analysis
 /// (used by the paper's Lemma 4 base-invariance study of decorrelation

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytestream.h"
 #include "common/checksum.h"
 #include "common/types.h"
 #include "compat/golden_fields.h"
@@ -79,6 +80,65 @@ TEST(GoldenV2, SzTransformedFloatFastLogKernel) {
   auto out = transformed_decompress<float>(committed, &dims_out);
   EXPECT_EQ(dims_out, dims);
   EXPECT_EQ(payload_fnv(out), 0xed08a4347b9c8d9aULL);
+}
+
+// The ZFP block-group format addition: an inner ZFP payload of more than
+// one 2^16-value group is written as a directory of group end offsets plus
+// byte-aligned group substreams (TFP1 layout byte 1), so both encode and
+// decode run the groups in parallel. zfpt_f32.v2 is golden v1's
+// zfpt_f32.v1 field and parameters re-encoded in that layout. It pins:
+//   - the encoder reproduces it byte-for-byte at 1 and 8 threads;
+//   - the decoder reconstructs exactly the values of the serial v1 stream
+//     (grouping changes the framing, never a value).
+// Regenerate with TRANSPWR_REGEN_GOLDEN=1 after an intentional change.
+TEST(GoldenV2, ZfpTransformedFloatGroupedPayload) {
+  auto data = golden::paraboloid<float>(257, 256);
+  const Dims dims(257, 256);
+  TransformedParams p;
+  p.rel_bound = 1e-2;
+  p.threads = 1;
+  auto stream = transformed_compress<float>(data, dims, InnerCodec::kZfp, p);
+  p.threads = 8;
+  EXPECT_EQ(transformed_compress<float>(data, dims, InnerCodec::kZfp, p),
+            stream)
+      << "stream bytes depend on the thread count";
+
+  // TRT1: magic(4) dtype codec signs log_kernel base(8) zero_threshold(8),
+  // then the sized sign section and the sized inner TFP1 stream, whose
+  // byte 7 is the payload layout.
+  ByteReader in(stream);
+  in.get_bytes(24);
+  in.get_sized();
+  auto inner = in.get_sized();
+  ASSERT_GT(inner.size(), std::size_t{7});
+  EXPECT_EQ(inner[7], 1u) << "two-group payload should carry a directory";
+
+  if (std::getenv("TRANSPWR_REGEN_GOLDEN")) {
+    const std::string path =
+        std::string(TRANSPWR_GOLDEN_DIR) + "/zfpt_f32.v2";
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    std::fwrite(stream.data(), 1, stream.size(), f);
+    std::fclose(f);
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  auto committed = load("zfpt_f32.v2");
+  ASSERT_FALSE(committed.empty())
+      << "missing golden stream zfpt_f32.v2 (run with "
+         "TRANSPWR_REGEN_GOLDEN=1 to create it)";
+  EXPECT_EQ(stream, committed) << "encoder drifted from the committed v2 "
+                                  "stream";
+
+  for (std::size_t threads : {1u, 8u}) {
+    Dims dims_out;
+    auto out = transformed_decompress<float>(committed, &dims_out, nullptr,
+                                             threads);
+    EXPECT_EQ(dims_out, dims);
+    // The same checksum as the serial golden v1 stream.
+    EXPECT_EQ(payload_fnv(out), 0xbfda88d7bd4e2887ULL)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
