@@ -15,6 +15,7 @@
 #include "compat/golden_fields.h"
 #include "core/transformed.h"
 #include "lossless/lossless.h"
+#include "parallel/chunked.h"
 #include "sz/interp.h"
 #include "sz/sz.h"
 #include "zfp/zfp.h"
@@ -124,6 +125,35 @@ TEST(GoldenV1, ZfpFixedRateFloatBytesAreStable) {
   auto out = zfp::decompress<float>(committed, &dims);
   EXPECT_EQ(dims, Dims(257, 256));
   EXPECT_EQ(payload_fnv(out), 0x87bc080c8423994cULL);
+}
+
+// A CHK1 chunked container of SZ_T slabs: golden::field<float> over
+// 26x12x10 (seed 1313), rel_bound 1e-2, four slabs of 7/7/7/5 rows. It pins
+// the container framing and the slab plan: chunked::compress must
+// reproduce the bytes at any thread count, and StreamingCompressor fed the
+// same field with the matching rows_per_chunk must emit the same container.
+TEST(GoldenV1, ChunkedSzTFloatBytesAreStable) {
+  auto committed = load("chunked_szt_f32.v1");
+  ASSERT_FALSE(committed.empty());
+  Dims dims;
+  auto out = chunked::decompress<float>(committed, &dims);
+  EXPECT_EQ(dims, Dims(26, 12, 10));
+  EXPECT_EQ(payload_fnv(out), 0x2e34a55bb04d4f46ULL);
+
+  const Dims field_dims(26, 12, 10);
+  auto data = golden::field<float>(field_dims.count(), 1313);
+  chunked::Params p;
+  p.scheme = Scheme::kSzT;
+  p.compressor.bound = 1e-2;
+  p.num_chunks = 4;
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    p.threads = threads;
+    EXPECT_EQ(chunked::compress<float>(data, field_dims, p), committed);
+  }
+  chunked::StreamingCompressor<float> sc(field_dims, p, /*rows_per_chunk=*/7);
+  sc.append(data);
+  EXPECT_EQ(sc.finish(), committed);
 }
 
 }  // namespace
