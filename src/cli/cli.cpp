@@ -19,6 +19,7 @@
 #include "metrics/metrics.h"
 #include "obs/obs.h"
 #include "parallel/chunked.h"
+#include "parallel/slab.h"
 #include "query/query.h"
 #include "query/query_json.h"
 #include "server/server.h"
@@ -221,7 +222,7 @@ int do_archive_create(const Args& a) {
   opts.params.log_base = a.log_base;
   opts.threads = a.threads;
   if (a.chunks)
-    opts.rows_per_chunk = (dims[0] + a.chunks - 1) / a.chunks;
+    opts.rows_per_chunk = slab::Plan::of_count(dims[0], a.chunks).rows(0);
 
   Timer t;
   std::size_t raw = 0;

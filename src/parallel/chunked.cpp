@@ -1,7 +1,6 @@
 #include "parallel/chunked.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "common/bytestream.h"
@@ -17,18 +16,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x314B4843;  // "CHK1"
 
-std::size_t resolve_threads(std::size_t threads) {
-  return threads ? threads : default_threads();
-}
-
-/// Options for the slab fan-out over the shared pool: one slab per block.
-ParallelOptions slab_options(std::size_t threads) {
-  ParallelOptions opts;
-  opts.max_threads = threads;
-  opts.grain = 1;
-  return opts;
-}
-
 /// Wrap a slab failure so the user sees which slab and why (the seed
 /// swallowed the message into a generic "a slab failed").
 [[noreturn]] void rethrow_slab_failure(const char* phase, std::size_t slab,
@@ -37,62 +24,11 @@ ParallelOptions slab_options(std::size_t threads) {
                     phase + ": " + ex.what());
 }
 
-struct Slab {
-  std::size_t row_begin;  // along the slowest dimension
-  std::size_t row_count;
-  Dims dims;              // shape of the slab
-  std::size_t offset;     // element offset into the full field
-};
-
-std::vector<Slab> plan_slabs(Dims dims, std::size_t chunks) {
-  const std::size_t rows = dims[0];
-  chunks = std::clamp<std::size_t>(chunks, 1, rows);
-  std::size_t per = (rows + chunks - 1) / chunks;
-  std::size_t row_elems = dims.count() / rows;
-
-  std::vector<Slab> slabs;
-  for (std::size_t b = 0; b < rows; b += per) {
-    Slab s;
-    s.row_begin = b;
-    s.row_count = std::min(per, rows - b);
-    s.dims = dims;
-    s.dims.d[0] = s.row_count;
-    s.offset = b * row_elems;
-    slabs.push_back(s);
-  }
-  return slabs;
-}
-
-std::vector<Slab> slabs_from_rows(Dims dims,
-                                  std::span<const std::uint64_t> rows) {
-  std::size_t row_elems = dims.count() / dims[0];
-  std::vector<Slab> slabs;
-  std::size_t at = 0;
-  for (auto rc : rows) {
-    if (rc == 0) throw StreamError("chunked: empty slab");
-    // Subtraction form: a huge 64-bit row count must not wrap `at`.
-    if (rc > dims[0] - at)
-      throw StreamError("chunked: slab rows do not sum to field rows");
-    Slab s;
-    s.row_begin = at;
-    s.row_count = static_cast<std::size_t>(rc);
-    s.dims = dims;
-    s.dims.d[0] = s.row_count;
-    s.offset = at * row_elems;
-    at += s.row_count;
-    slabs.push_back(s);
-  }
-  if (at != dims[0])
-    throw StreamError("chunked: slab rows do not sum to field rows");
-  return slabs;
-}
-
-/// Shared container writer: header + per-slab row counts + slab streams.
+/// CHK1 header: magic, dtype, scheme, nd, dims and the slab row table.
+/// Each slab then follows as its FNV-1a 64 and its u64-sized stream.
 template <typename T>
-std::vector<std::uint8_t> write_container(
-    Dims dims, Scheme scheme, std::span<const std::uint64_t> slab_rows,
-    const std::vector<std::vector<std::uint8_t>>& streams) {
-  ByteWriter out;
+void put_header(ByteWriter& out, Dims dims, Scheme scheme,
+                const slab::Plan& plan) {
   out.put(kMagic);
   out.put(static_cast<std::uint8_t>(data_type_of<T>()));
   out.put(static_cast<std::uint8_t>(scheme));
@@ -100,13 +36,104 @@ std::vector<std::uint8_t> write_container(
   out.put(std::uint8_t{0});
   for (int i = 0; i < 3; ++i)
     out.put(static_cast<std::uint64_t>(dims.d[static_cast<std::size_t>(i)]));
-  out.put(static_cast<std::uint32_t>(slab_rows.size()));
-  for (auto rc : slab_rows) out.put(rc);
-  for (const auto& s : streams) {
-    out.put(fnv1a64(s));
-    out.put_sized(s);
+  out.put(static_cast<std::uint32_t>(plan.size()));
+  for (std::size_t i = 0; i < plan.size(); ++i)
+    out.put(static_cast<std::uint64_t>(plan.rows(i)));
+}
+
+/// Compress slabs [first, first + count) of `plan` from `rows`, which
+/// starts at slab `first`'s first row, and append them to `out` in order.
+template <typename T>
+void put_slabs(ByteWriter& out, const Params& params, std::span<const T> rows,
+               Dims dims, const slab::Plan& plan, std::size_t first,
+               std::size_t count, std::size_t threads) {
+  const std::size_t row_elems = dims.count() / dims[0];
+  std::vector<std::vector<std::uint8_t>> streams(count);
+  slab::compress_in_order(
+      count, threads,
+      [&](std::size_t k) {
+        const std::size_t i = first + k;
+        const Dims sdims = plan.dims(i, dims);
+        const std::size_t offset =
+            (plan.row_begin(i) - plan.row_begin(first)) * row_elems;
+        try {
+          streams[k] = make_compressor(params.scheme)->compress(
+              rows.subspan(offset, sdims.count()), sdims, params.compressor);
+        } catch (const std::exception& ex) {
+          rethrow_slab_failure("compress", i, ex);
+        }
+      },
+      [&](std::size_t k) {
+        out.put(fnv1a64(streams[k]));
+        out.put_sized(streams[k]);
+        streams[k] = {};
+      });
+}
+
+/// A parsed CHK1 container; slab streams are views into the input.
+struct Container {
+  Scheme scheme = Scheme::kSzT;
+  Dims dims;
+  slab::Plan plan;
+  std::vector<std::uint64_t> sums;
+  std::vector<std::span<const std::uint8_t>> streams;
+};
+
+template <typename T>
+Container parse(std::span<const std::uint8_t> stream) {
+  ByteReader in(stream);
+  if (in.get<std::uint32_t>() != kMagic)
+    throw StreamError("chunked: bad magic");
+  auto dtype = static_cast<DataType>(in.get<std::uint8_t>());
+  if (dtype != data_type_of<T>())
+    throw StreamError("chunked: stream data type does not match");
+  std::uint8_t scheme_byte = in.get<std::uint8_t>();
+  if (scheme_byte > static_cast<std::uint8_t>(Scheme::kSziT))
+    throw StreamError("chunked: unknown scheme byte");
+  Container c;
+  c.scheme = static_cast<Scheme>(scheme_byte);
+  c.dims.nd = in.get<std::uint8_t>();
+  in.get<std::uint8_t>();
+  for (int i = 0; i < 3; ++i)
+    c.dims.d[static_cast<std::size_t>(i)] =
+        static_cast<std::size_t>(in.get<std::uint64_t>());
+  checked_count(c.dims, "chunked");
+  auto num_slabs = in.get<std::uint32_t>();
+  // Each slab needs at least its 8-byte row count in the stream.
+  if (num_slabs == 0 || num_slabs > c.dims[0] ||
+      num_slabs > stream.size() / 8)
+    throw StreamError("chunked: implausible slab count");
+  std::vector<std::uint64_t> rows(num_slabs);
+  for (auto& rc : rows) rc = in.get<std::uint64_t>();
+  c.plan = slab::Plan::from_table(c.dims[0], rows, "chunked");
+  c.sums.resize(num_slabs);
+  c.streams.resize(num_slabs);
+  for (std::uint32_t i = 0; i < num_slabs; ++i) {
+    c.sums[i] = in.get<std::uint64_t>();
+    c.streams[i] = in.get_sized();
   }
-  return out.take();
+  return c;
+}
+
+/// Rows [row_begin, row_end) of a parsed container, touching (and
+/// checksumming) only the slabs that overlap them.
+template <typename T>
+std::vector<T> read(const Container& c, std::size_t row_begin,
+                    std::size_t row_end, Dims* roi_dims_out,
+                    std::size_t threads) {
+  return slab::read_rows<T>(
+      c.plan, c.dims, row_begin, row_end, threads,
+      [&](std::size_t i) {
+        try {
+          if (fnv1a64(c.streams[i]) != c.sums[i])
+            throw StreamError("checksum mismatch (corrupt stream)");
+          return slab::own(slab::decode<T>(c.scheme, c.streams[i],
+                                           c.plan.dims(i, c.dims)));
+        } catch (const std::exception& ex) {
+          rethrow_slab_failure("decompress", i, ex);
+        }
+      },
+      "chunked", roi_dims_out);
 }
 
 }  // namespace
@@ -120,34 +147,16 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   obs::Span root_span("chunked.compress");
   obs::counter_add("chunked.bytes_in", data.size_bytes());
 
-  const std::size_t threads = resolve_threads(params.threads);
-  const std::size_t chunks =
-      params.num_chunks ? params.num_chunks : threads;
-  auto slabs = plan_slabs(dims, chunks);
+  const std::size_t threads =
+      params.threads ? params.threads : default_threads();
+  const auto plan = slab::Plan::of_count(
+      dims[0], params.num_chunks ? params.num_chunks : threads);
+  ByteWriter out;
+  put_header<T>(out, dims, params.scheme, plan);
+  put_slabs<T>(out, params, data, dims, plan, 0, plan.size(), threads);
 
-  std::vector<std::vector<std::uint8_t>> streams(slabs.size());
-  parallel_for(
-      slabs.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          try {
-            auto comp = make_compressor(params.scheme);
-            const Slab& s = slabs[i];
-            streams[i] = comp->compress(
-                data.subspan(s.offset, s.dims.count()), s.dims,
-                params.compressor);
-          } catch (const std::exception& ex) {
-            rethrow_slab_failure("compress", i, ex);
-          }
-        }
-      },
-      slab_options(threads));
-
-  obs::counter_add("chunked.slabs", slabs.size());
-  std::vector<std::uint64_t> slab_rows;
-  slab_rows.reserve(slabs.size());
-  for (const auto& s : slabs) slab_rows.push_back(s.row_count);
-  auto container = write_container<T>(dims, params.scheme, slab_rows, streams);
+  obs::counter_add("chunked.slabs", plan.size());
+  auto container = out.take();
   obs::counter_add("chunked.bytes_out", container.size());
   return container;
 }
@@ -156,70 +165,9 @@ template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> stream,
                           Dims* dims_out, std::size_t threads) {
   obs::Span root_span("chunked.decompress");
-  ByteReader in(stream);
-  if (in.get<std::uint32_t>() != kMagic)
-    throw StreamError("chunked: bad magic");
-  auto dtype = static_cast<DataType>(in.get<std::uint8_t>());
-  if (dtype != data_type_of<T>())
-    throw StreamError("chunked: stream data type does not match");
-  std::uint8_t scheme_byte = in.get<std::uint8_t>();
-  if (scheme_byte > static_cast<std::uint8_t>(Scheme::kSziT))
-    throw StreamError("chunked: unknown scheme byte");
-  auto scheme = static_cast<Scheme>(scheme_byte);
-  int nd = in.get<std::uint8_t>();
-  in.get<std::uint8_t>();
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  const std::size_t n = checked_count(dims, "chunked");
-  check_decode_alloc(n, sizeof(T), "chunked");
-  auto num_slabs = in.get<std::uint32_t>();
-  // Each slab needs at least its 8-byte row count in the stream.
-  if (num_slabs == 0 || num_slabs > dims[0] ||
-      num_slabs > stream.size() / 8)
-    throw StreamError("chunked: implausible slab count");
-  if (dims_out) *dims_out = dims;
-
-  std::vector<std::uint64_t> slab_rows(num_slabs);
-  for (auto& rc : slab_rows) rc = in.get<std::uint64_t>();
-  std::vector<std::uint64_t> slab_sums(num_slabs);
-  std::vector<std::span<const std::uint8_t>> slab_streams(num_slabs);
-  for (std::uint32_t i = 0; i < num_slabs; ++i) {
-    slab_sums[i] = in.get<std::uint64_t>();
-    slab_streams[i] = in.get_sized();
-  }
-
-  auto slabs = slabs_from_rows(dims, slab_rows);
-
-  std::vector<T> out(n);
-  parallel_for(
-      slabs.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          try {
-            if (fnv1a64(slab_streams[i]) != slab_sums[i])
-              throw StreamError("checksum mismatch (corrupt stream)");
-            auto comp = make_compressor(scheme);
-            Dims got;
-            std::vector<T> slab_data;
-            if constexpr (std::is_same_v<T, float>)
-              slab_data = comp->decompress_f32(slab_streams[i], &got);
-            else
-              slab_data = comp->decompress_f64(slab_streams[i], &got);
-            if (!(got == slabs[i].dims) ||
-                slab_data.size() != slabs[i].dims.count())
-              throw StreamError("slab shape does not match the row table");
-            std::memcpy(out.data() + slabs[i].offset, slab_data.data(),
-                        slab_data.size() * sizeof(T));
-          } catch (const std::exception& ex) {
-            rethrow_slab_failure("decompress", i, ex);
-          }
-        }
-      },
-      slab_options(resolve_threads(threads)));
-  return out;
+  const Container c = parse<T>(stream);
+  if (dims_out) *dims_out = c.dims;
+  return read<T>(c, 0, c.dims[0], nullptr, threads);
 }
 
 template <typename T>
@@ -227,87 +175,7 @@ std::vector<T> decompress_rows(std::span<const std::uint8_t> stream,
                                std::size_t row_begin, std::size_t row_end,
                                Dims* roi_dims_out, std::size_t threads) {
   obs::Span root_span("chunked.decompress_rows");
-  ByteReader in(stream);
-  if (in.get<std::uint32_t>() != kMagic)
-    throw StreamError("chunked: bad magic");
-  auto dtype = static_cast<DataType>(in.get<std::uint8_t>());
-  if (dtype != data_type_of<T>())
-    throw StreamError("chunked: stream data type does not match");
-  std::uint8_t scheme_byte = in.get<std::uint8_t>();
-  if (scheme_byte > static_cast<std::uint8_t>(Scheme::kSziT))
-    throw StreamError("chunked: unknown scheme byte");
-  auto scheme = static_cast<Scheme>(scheme_byte);
-  int nd = in.get<std::uint8_t>();
-  in.get<std::uint8_t>();
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  const std::size_t n = checked_count(dims, "chunked");
-  check_decode_alloc(n, sizeof(T), "chunked");
-  if (row_begin >= row_end || row_end > dims[0])
-    throw ParamError("chunked: row range out of bounds");
-  auto num_slabs = in.get<std::uint32_t>();
-  if (num_slabs == 0 || num_slabs > dims[0] ||
-      num_slabs > stream.size() / 8)
-    throw StreamError("chunked: implausible slab count");
-
-  std::vector<std::uint64_t> slab_rows(num_slabs);
-  for (auto& rc : slab_rows) rc = in.get<std::uint64_t>();
-  std::vector<std::uint64_t> slab_sums(num_slabs);
-  std::vector<std::span<const std::uint8_t>> slab_streams(num_slabs);
-  for (std::uint32_t i = 0; i < num_slabs; ++i) {
-    slab_sums[i] = in.get<std::uint64_t>();
-    slab_streams[i] = in.get_sized();
-  }
-  auto slabs = slabs_from_rows(dims, slab_rows);
-
-  const std::size_t row_elems = dims.count() / dims[0];
-  Dims roi = dims;
-  roi.d[0] = row_end - row_begin;
-  if (roi_dims_out) *roi_dims_out = roi;
-
-  // Slabs overlapping the requested row range.
-  std::vector<std::size_t> wanted;
-  for (std::size_t i = 0; i < slabs.size(); ++i) {
-    const Slab& s = slabs[i];
-    if (s.row_begin < row_end && s.row_begin + s.row_count > row_begin)
-      wanted.push_back(i);
-  }
-
-  std::vector<T> out(roi.count());
-  parallel_for(
-      wanted.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t w = begin; w < end; ++w) {
-          const std::size_t i = wanted[w];
-          try {
-            if (fnv1a64(slab_streams[i]) != slab_sums[i])
-              throw StreamError("checksum mismatch (corrupt stream)");
-            auto comp = make_compressor(scheme);
-            Dims got;
-            std::vector<T> slab_data;
-            if constexpr (std::is_same_v<T, float>)
-              slab_data = comp->decompress_f32(slab_streams[i], &got);
-            else
-              slab_data = comp->decompress_f64(slab_streams[i], &got);
-            const Slab& s = slabs[i];
-            if (!(got == s.dims) || slab_data.size() != s.dims.count())
-              throw StreamError("slab shape does not match the row table");
-            // Copy the overlapping rows into the ROI buffer.
-            std::size_t from = std::max(s.row_begin, row_begin);
-            std::size_t to = std::min(s.row_begin + s.row_count, row_end);
-            std::memcpy(out.data() + (from - row_begin) * row_elems,
-                        slab_data.data() + (from - s.row_begin) * row_elems,
-                        (to - from) * row_elems * sizeof(T));
-          } catch (const std::exception& ex) {
-            rethrow_slab_failure("decompress", i, ex);
-          }
-        }
-      },
-      slab_options(resolve_threads(threads)));
-  return out;
+  return read<T>(parse<T>(stream), row_begin, row_end, roi_dims_out, threads);
 }
 
 // --- StreamingCompressor ------------------------------------------------------
@@ -315,13 +183,16 @@ std::vector<T> decompress_rows(std::span<const std::uint8_t> stream,
 template <typename T>
 StreamingCompressor<T>::StreamingCompressor(Dims full_dims, Params params,
                                             std::size_t rows_per_chunk)
-    : dims_(full_dims), params_(params), rows_per_chunk_(rows_per_chunk) {
+    : dims_(full_dims), params_(params) {
   dims_.validate();
-  if (rows_per_chunk_ == 0 || rows_per_chunk_ > dims_[0])
+  if (rows_per_chunk == 0 || rows_per_chunk > dims_[0])
     throw ParamError("streaming: rows_per_chunk out of range");
-  rows_total_ = dims_[0];
-  row_elems_ = dims_.count() / rows_total_;
-  buffer_.reserve(rows_per_chunk_ * row_elems_);
+  row_elems_ = dims_.count() / dims_[0];
+  plan_ = slab::Plan::of_rows(dims_[0], rows_per_chunk);
+  buffer_.reserve(rows_per_chunk * row_elems_);
+  ByteWriter header;
+  put_header<T>(header, dims_, params_.scheme, plan_);
+  container_ = header.take();
 }
 
 template <typename T>
@@ -330,43 +201,39 @@ void StreamingCompressor<T>::append(std::span<const T> rows) {
   if (rows.size() % row_elems_ != 0)
     throw ParamError("streaming: append size must be whole rows");
   std::size_t n_rows = rows.size() / row_elems_;
-  if (rows_seen_ + n_rows > rows_total_)
+  if (n_rows > rows_remaining())
     throw ParamError("streaming: more rows than the field holds");
   std::size_t consumed = 0;
   while (consumed < n_rows) {
-    std::size_t want = rows_per_chunk_ - buffer_.size() / row_elems_;
-    std::size_t take = std::min(want, n_rows - consumed);
+    const std::size_t want =
+        plan_.rows(slabs_done_) - buffer_.size() / row_elems_;
+    const std::size_t take = std::min(want, n_rows - consumed);
     auto chunk = rows.subspan(consumed * row_elems_, take * row_elems_);
     buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
     consumed += take;
     rows_seen_ += take;
-    if (buffer_.size() == rows_per_chunk_ * row_elems_) flush_slab();
+    if (take == want) flush_slab();
   }
 }
 
 template <typename T>
 void StreamingCompressor<T>::flush_slab() {
-  std::size_t slab_rows = buffer_.size() / row_elems_;
-  Dims slab_dims = dims_;
-  slab_dims.d[0] = slab_rows;
-  auto comp = make_compressor(params_.scheme);
-  slabs_.push_back(
-      comp->compress(std::span<const T>(buffer_), slab_dims,
-                     params_.compressor));
-  slab_rows_.push_back(slab_rows);
+  ByteWriter out;
+  put_slabs<T>(out, params_, buffer_, dims_, plan_, slabs_done_, 1, 1);
+  auto bytes = out.take();
+  container_.insert(container_.end(), bytes.begin(), bytes.end());
+  ++slabs_done_;
   buffer_.clear();
 }
 
 template <typename T>
 std::vector<std::uint8_t> StreamingCompressor<T>::finish() {
   if (finished_) throw ParamError("streaming: finish called twice");
-  if (rows_seen_ != rows_total_)
+  if (rows_remaining() != 0)
     throw ParamError("streaming: field incomplete (" +
-                     std::to_string(rows_total_ - rows_seen_) +
-                     " rows missing)");
-  if (!buffer_.empty()) flush_slab();
+                     std::to_string(rows_remaining()) + " rows missing)");
   finished_ = true;
-  return write_container<T>(dims_, params_.scheme, slab_rows_, slabs_);
+  return std::move(container_);
 }
 
 template class StreamingCompressor<float>;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/compressor.h"
+#include "parallel/slab.h"
 
 namespace transpwr {
 namespace chunked {
@@ -45,10 +46,13 @@ std::vector<T> decompress_rows(std::span<const std::uint8_t> stream,
                                std::size_t threads = 0);
 
 /// In-situ accumulation: simulations emit a field a few planes at a time;
-/// StreamingCompressor compresses each buffered slab as soon as it is full,
-/// so peak memory stays at one slab instead of the whole field, and
-/// finish() yields a container chunked::decompress() reads. The error-bound
-/// guarantees of the scheme hold slab-by-slab, hence globally.
+/// StreamingCompressor is a row-appending writer that compresses each
+/// buffered slab as soon as it is full and appends it to the container, so
+/// peak memory stays at one slab of values instead of the whole field, and
+/// finish() yields a container chunked::decompress() reads. Fed the same
+/// field with the same slab height it writes the bytes chunked::compress
+/// writes. The error-bound guarantees of the scheme hold slab-by-slab,
+/// hence globally.
 template <typename T>
 class StreamingCompressor {
  public:
@@ -61,10 +65,10 @@ class StreamingCompressor {
   void append(std::span<const T> rows);
 
   /// Rows still expected before the field is complete.
-  std::size_t rows_remaining() const { return rows_total_ - rows_seen_; }
+  std::size_t rows_remaining() const { return dims_[0] - rows_seen_; }
 
-  /// Flush the final partial slab and return the container. The field must
-  /// be complete; the object may not be reused afterwards.
+  /// Return the container. The field must be complete; the object may not
+  /// be reused afterwards.
   std::vector<std::uint8_t> finish();
 
  private:
@@ -72,13 +76,12 @@ class StreamingCompressor {
 
   Dims dims_;
   Params params_;
-  std::size_t rows_per_chunk_;
+  slab::Plan plan_;
   std::size_t row_elems_;
-  std::size_t rows_total_;
   std::size_t rows_seen_ = 0;
+  std::size_t slabs_done_ = 0;
   std::vector<T> buffer_;
-  std::vector<std::vector<std::uint8_t>> slabs_;
-  std::vector<std::uint64_t> slab_rows_;
+  std::vector<std::uint8_t> container_;  // header + the slabs written so far
   bool finished_ = false;
 };
 

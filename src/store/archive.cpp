@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <mutex>
 
 #include "common/bytestream.h"
 #include "common/checksum.h"
@@ -32,8 +29,12 @@ constexpr std::uint64_t kTrailerSize = 20;  // footer fnv + footer size + end ma
 constexpr std::size_t kMaxNameLen = 255;
 constexpr std::size_t kMaxDatasets = 1u << 20;
 
-std::size_t resolve_threads(std::size_t threads) {
-  return threads ? threads : default_threads();
+/// Head: magic + format version.
+std::vector<std::uint8_t> head_bytes() {
+  ByteWriter head;
+  head.put(kMagic);
+  head.put(kWriterVersion);
+  return head.take();
 }
 
 /// Footer blob: the whole directory, serialized dataset by dataset. The
@@ -119,10 +120,12 @@ void validate_summary(const ChunkSummary& s, std::uint64_t chunk_elems,
 /// Parse and validate the footer blob. `payload_end` is the absolute offset
 /// where the footer begins — every chunk extent must tile
 /// [kHeadSize, payload_end) exactly, in directory order, so *any* byte of
-/// the file is covered by either a field compare or a checksum.
+/// the file is covered by either a field compare or a checksum. `plans`
+/// receives each dataset's validated chunk row plan.
 std::vector<DatasetInfo> parse_directory(std::span<const std::uint8_t> footer,
                                          std::uint64_t payload_end,
-                                         std::uint32_t version) {
+                                         std::uint32_t version,
+                                         std::vector<slab::Plan>& plans) {
   ByteReader in(footer);
   auto count = in.get<std::uint32_t>();
   if (count > kMaxDatasets)
@@ -163,23 +166,20 @@ std::vector<DatasetInfo> parse_directory(std::span<const std::uint8_t> footer,
         nchunks > footer.size() / 32)
       throw StreamError("archive: implausible chunk count for " + ds.name);
     ds.chunks.resize(nchunks);
-    std::uint64_t rows_sum = 0;
-    for (auto& c : ds.chunks) {
-      c.rows = in.get<std::uint64_t>();
+    std::vector<std::uint64_t> rows(nchunks);
+    for (std::uint32_t i = 0; i < nchunks; ++i) {
+      ChunkInfo& c = ds.chunks[i];
+      c.rows = rows[i] = in.get<std::uint64_t>();
       c.offset = in.get<std::uint64_t>();
       c.size = in.get<std::uint64_t>();
       c.checksum = in.get<std::uint64_t>();
-      if (c.rows == 0 || c.rows > ds.dims[0] - rows_sum)
-        throw StreamError("archive: chunk rows do not sum to dataset rows");
-      rows_sum += c.rows;
       if (c.offset != expected)
         throw StreamError("archive: chunk extents do not tile the payload");
       if (c.size > payload_end - expected)
         throw StreamError("archive: chunk extends past the footer");
       expected += c.size;
     }
-    if (rows_sum != ds.dims[0])
-      throw StreamError("archive: chunk rows do not sum to dataset rows");
+    plans.push_back(slab::Plan::from_table(ds.dims[0], rows, "archive"));
     if (version >= 2) {
       auto has_summary = in.get<std::uint8_t>();
       if (has_summary > 1)
@@ -266,22 +266,14 @@ ArchiveWriter::ArchiveWriter(std::string path)
   if (path_.empty()) throw ParamError("archive: empty path");
   file_ = std::fopen(tmp_path_.c_str(), "wb");
   if (!file_) throw StreamError("archive: cannot open " + tmp_path_);
-  ByteWriter head;
-  head.put(kMagic);
-  head.put(kWriterVersion);
-  auto bytes = head.take();
-  append(bytes);
+  append(head_bytes());
 }
 
 ArchiveWriter::ArchiveWriter(std::vector<std::uint8_t>* buffer)
     : mem_(buffer) {
   if (!mem_) throw ParamError("archive: null buffer");
   mem_->clear();
-  ByteWriter head;
-  head.put(kMagic);
-  head.put(kWriterVersion);
-  auto bytes = head.take();
-  append(bytes);
+  append(head_bytes());
 }
 
 ArchiveWriter::~ArchiveWriter() {
@@ -290,15 +282,16 @@ ArchiveWriter::~ArchiveWriter() {
 }
 
 void ArchiveWriter::append(std::span<const std::uint8_t> bytes) {
+  // Poisoned until the bytes are in: a failed append leaves a torn file.
+  failed_ = true;
   if (file_) {
     if (!bytes.empty() &&
-        std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-      failed_ = true;
+        std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size())
       throw StreamError("archive: short write to " + tmp_path_);
-    }
   } else {
     mem_->insert(mem_->end(), bytes.begin(), bytes.end());
   }
+  failed_ = false;
   offset_ += bytes.size();
 }
 
@@ -330,102 +323,50 @@ void ArchiveWriter::add_dataset(const std::string& name,
     throw ParamError("archive: data size does not match dims");
   obs::Span root_span("archive.add_dataset");
 
-  const std::size_t rows = dims[0];
-  const std::size_t row_elems = dims.count() / rows;
-  const std::size_t threads = resolve_threads(opts.threads);
-  std::size_t per = opts.rows_per_chunk
-                        ? std::min(opts.rows_per_chunk, rows)
-                        : (rows + std::min(threads, rows) - 1) /
-                              std::min(threads, rows);
-  const std::size_t nchunks = (rows + per - 1) / per;
-
-  // Fan the chunk compressions out over the shared pool; the writer thread
-  // appends chunk i the moment it is done, pipelined with chunks > i still
-  // compressing. Tasks only touch locals guarded by `mu`, and every task
-  // flags `done` even on failure, so the wait loop below always drains.
-  std::vector<std::vector<std::uint8_t>> streams(nchunks);
-  std::vector<ChunkSummary> summaries(nchunks);
-  std::vector<char> done(nchunks, 0);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::exception_ptr err;
-  auto& pool = global_pool();
-  for (std::size_t i = 0; i < nchunks; ++i) {
-    pool.submit([&, i] {
-      try {
-        const std::size_t begin = i * per;
-        const std::size_t count = std::min(per, rows - begin);
-        Dims cdims = dims;
-        cdims.d[0] = count;
-        auto comp = make_compressor(opts.scheme);
-        auto stream = comp->compress(
-            data.subspan(begin * row_elems, count * row_elems), cdims,
-            opts.params);
-        ChunkSummary summary;
-        if (opts.summaries) {
-          // Summaries describe what a reader will reconstruct, so decode
-          // the stream we just wrote rather than summarizing the input:
-          // query answers then match decompress-then-scan bit-for-bit.
-          std::vector<T> rec;
-          if constexpr (std::is_same_v<T, float>)
-            rec = comp->decompress_f32(stream, nullptr);
-          else
-            rec = comp->decompress_f64(stream, nullptr);
-          summary = summarize_values<T>(std::span<const T>(rec));
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        streams[i] = std::move(stream);
-        summaries[i] = summary;
-        done[i] = 1;
-        cv.notify_all();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!err) err = std::current_exception();
-        done[i] = 1;
-        cv.notify_all();
-      }
-    });
-  }
-
-  DatasetInfo info;
-  info.name = name;
-  info.dtype = data_type_of<T>();
-  info.scheme = opts.scheme;
-  info.dims = dims;
-  info.bound = opts.params.bound;
-  info.log_base = opts.params.log_base;
-  std::exception_ptr write_err;
-  for (std::size_t i = 0; i < nchunks; ++i) {
-    std::vector<std::uint8_t> stream;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return done[i] != 0; });
-      stream = std::move(streams[i]);
-    }
-    if (err || write_err) continue;  // keep draining the remaining tasks
-    ChunkInfo c;
-    c.rows = std::min(per, rows - i * per);
-    c.offset = offset_;
-    c.size = stream.size();
-    c.checksum = fnv1a64(stream);
-    try {
-      append(stream);
-    } catch (...) {
-      write_err = std::current_exception();
-      continue;
-    }
-    obs::counter_add("archive.chunks_written");
-    obs::counter_add("archive.bytes_written", c.size);
-    info.chunks.push_back(c);
-  }
-  if (err || write_err) {
+  const std::size_t threads = opts.threads ? opts.threads : default_threads();
+  const auto plan = opts.rows_per_chunk
+                        ? slab::Plan::of_rows(dims[0], opts.rows_per_chunk)
+                        : slab::Plan::of_count(dims[0], threads);
+  const std::size_t row_elems = dims.count() / dims[0];
+  std::vector<std::vector<std::uint8_t>> streams(plan.size());
+  std::vector<ChunkSummary> summaries(plan.size());
+  DatasetInfo info{.name = name, .dtype = data_type_of<T>(),
+                   .scheme = opts.scheme, .dims = dims,
+                   .bound = opts.params.bound,
+                   .log_base = opts.params.log_base, .chunks = {},
+                   .summaries = {}};
+  try {
+    slab::compress_in_order(
+        plan.size(), threads,
+        [&](std::size_t i) {
+          const Dims cdims = plan.dims(i, dims);
+          streams[i] = make_compressor(opts.scheme)->compress(
+              data.subspan(plan.row_begin(i) * row_elems, cdims.count()),
+              cdims, opts.params);
+          if (opts.summaries) {
+            // Summaries describe what a reader will reconstruct, so decode
+            // the stream we just wrote rather than summarizing the input:
+            // query answers then match decompress-then-scan bit-for-bit.
+            auto rec = slab::decode<T>(opts.scheme, streams[i], cdims);
+            summaries[i] = summarize_values<T>(std::span<const T>(rec));
+          }
+        },
+        [&](std::size_t i) {
+          info.chunks.push_back({plan.rows(i), offset_, streams[i].size(),
+                                 fnv1a64(streams[i])});
+          append(streams[i]);
+          obs::counter_add("archive.chunks_written");
+          obs::counter_add("archive.bytes_written", streams[i].size());
+          streams[i] = {};
+        });
+  } catch (...) {
     // Chunks may have been partially appended; the byte stream no longer
     // matches any directory we could write, so the archive is abandoned.
     failed_ = true;
-    std::rethrow_exception(err ? err : write_err);
+    throw;
   }
   if (opts.summaries) {
-    obs::counter_add("archive.summary_chunks", nchunks);
+    obs::counter_add("archive.summary_chunks", plan.size());
     info.summaries = std::move(summaries);
   }
   directory_.push_back(std::move(info));
@@ -441,51 +382,30 @@ void ArchiveWriter::add_compressed(const std::string& name, DataType dtype,
   dims.validate();
   if (stream.empty()) throw ParamError("archive: empty compressed stream");
 
-  DatasetInfo info;
-  info.name = name;
-  info.dtype = dtype;
-  info.scheme = scheme;
-  info.dims = dims;
-  info.bound = bound;
-  info.log_base = log_base;
+  DatasetInfo info{.name = name, .dtype = dtype, .scheme = scheme,
+                   .dims = dims, .bound = bound, .log_base = log_base,
+                   .chunks = {}, .summaries = {}};
   if (with_summary) {
     // Callers hand us opaque rank streams; one that does not decode (or
     // decodes to the wrong shape) is still archived verbatim — it just
     // gets no summary, and queries over it fall back to full scans.
     try {
-      auto comp = make_compressor(scheme);
-      Dims got;
-      ChunkSummary s;
-      bool ok = false;
       if (dtype == DataType::kFloat32) {
-        auto rec = comp->decompress_f32(stream, &got);
-        ok = got == dims && rec.size() == dims.count();
-        if (ok) s = summarize_values<float>(std::span<const float>(rec));
+        auto rec = slab::decode<float>(scheme, stream, dims);
+        info.summaries.push_back(
+            summarize_values<float>(std::span<const float>(rec)));
       } else {
-        auto rec = comp->decompress_f64(stream, &got);
-        ok = got == dims && rec.size() == dims.count();
-        if (ok) s = summarize_values<double>(std::span<const double>(rec));
+        auto rec = slab::decode<double>(scheme, stream, dims);
+        info.summaries.push_back(
+            summarize_values<double>(std::span<const double>(rec)));
       }
-      if (ok) {
-        obs::counter_add("archive.summary_chunks");
-        info.summaries.push_back(s);
-      }
+      obs::counter_add("archive.summary_chunks");
     } catch (const Error&) {
       // no summary for this dataset
     }
   }
-  ChunkInfo c;
-  c.rows = dims[0];
-  c.offset = offset_;
-  c.size = stream.size();
-  c.checksum = fnv1a64(stream);
-  try {
-    append(stream);
-  } catch (...) {
-    failed_ = true;
-    throw;
-  }
-  info.chunks.push_back(c);
+  info.chunks.push_back({dims[0], offset_, stream.size(), fnv1a64(stream)});
+  append(stream);
   directory_.push_back(std::move(info));
 }
 
@@ -497,14 +417,8 @@ void ArchiveWriter::finish() {
   trailer.put(fnv1a64(footer));
   trailer.put(static_cast<std::uint64_t>(footer.size()));
   trailer.put(kEndMagic);
-  auto trailer_bytes = trailer.take();
-  try {
-    append(footer);
-    append(trailer_bytes);
-  } catch (...) {
-    failed_ = true;
-    throw;
-  }
+  append(footer);
+  append(trailer.take());
   if (file_) {
     bool flushed = std::fflush(file_) == 0;
     std::fclose(file_);
@@ -580,30 +494,17 @@ void ArchiveReader::parse_footer() {
 
   // Zero-copy modes parse head/trailer/footer in place; the pread
   // fallback copies just those framing regions (never the payload).
-  std::vector<std::uint8_t> head_buf, trailer_buf, footer_buf;
-  auto fetch = [&](std::uint64_t offset, std::uint64_t len,
-                   std::vector<std::uint8_t>& buf,
-                   const char* what) -> std::span<const std::uint8_t> {
-    if (!view_.empty())
-      return view_.subspan(static_cast<std::size_t>(offset),
-                           static_cast<std::size_t>(len));
-    check_decode_alloc(static_cast<std::size_t>(len), 1, "archive");
-    buf.resize(static_cast<std::size_t>(len));
-    file_.read_at(offset, buf, what);
-    return buf;
-  };
-
-  auto head = fetch(0, kHeadSize, head_buf, "header");
-  ByteReader hin(head);
+  const ChunkBytes head = fetch(0, kHeadSize, "header");
+  ByteReader hin(head.bytes);
   if (hin.get<std::uint32_t>() != kMagic)
     throw StreamError("archive: bad magic (not a TPAR archive)");
   version_ = hin.get<std::uint32_t>();
   if (version_ != kVersionV1 && version_ != kWriterVersion)
     throw StreamError("archive: unsupported version");
 
-  auto trailer = fetch(size_ - kTrailerSize, kTrailerSize, trailer_buf,
-                       "trailer");
-  ByteReader tin(trailer);
+  const ChunkBytes trailer = fetch(size_ - kTrailerSize, kTrailerSize,
+                                   "trailer");
+  ByteReader tin(trailer.bytes);
   auto footer_sum = tin.get<std::uint64_t>();
   auto footer_size = tin.get<std::uint64_t>();
   if (tin.get<std::uint32_t>() != kEndMagic)
@@ -611,10 +512,10 @@ void ArchiveReader::parse_footer() {
   if (footer_size > size_ - kHeadSize - kTrailerSize)
     throw StreamError("archive: footer size exceeds the file");
   const std::uint64_t footer_start = size_ - kTrailerSize - footer_size;
-  auto footer = fetch(footer_start, footer_size, footer_buf, "footer");
-  if (fnv1a64(footer) != footer_sum)
+  const ChunkBytes footer = fetch(footer_start, footer_size, "footer");
+  if (fnv1a64(footer.bytes) != footer_sum)
     throw StreamError("archive: footer checksum mismatch (corrupt archive)");
-  directory_ = parse_directory(footer, footer_start, version_);
+  directory_ = parse_directory(footer.bytes, footer_start, version_, plans_);
 
   // Lay out the lazy-verification bitmap: one bit per chunk, flattened in
   // directory order. All bits start unverified; chunk counts were already
@@ -652,34 +553,48 @@ const DatasetInfo& ArchiveReader::dataset(const std::string& name) const {
   return directory_[dataset_index(name)];
 }
 
+namespace {
+
+[[noreturn]] void throw_corrupt_chunk(const DatasetInfo& ds,
+                                      std::size_t chunk) {
+  obs::counter_add("archive.checksum_mismatches");
+  throw StreamError("archive: dataset " + ds.name + " chunk " +
+                    std::to_string(chunk) +
+                    " checksum mismatch (corrupt archive)");
+}
+
+}  // namespace
+
+ArchiveReader::ChunkBytes ArchiveReader::fetch(std::uint64_t offset,
+                                               std::uint64_t len,
+                                               const char* what) const {
+  ChunkBytes out;
+  if (!view_.empty()) {
+    // Callers stay inside the file: framing offsets are checked against
+    // its size, and chunk extents were validated to tile [head, footer).
+    out.bytes = view_.subspan(static_cast<std::size_t>(offset),
+                              static_cast<std::size_t>(len));
+  } else {
+    check_decode_alloc(static_cast<std::size_t>(len), 1, "archive");
+    out.owned.resize(static_cast<std::size_t>(len));
+    file_.read_at(offset, out.owned, what);
+    out.bytes = out.owned;
+  }
+  return out;
+}
+
 ArchiveReader::ChunkBytes ArchiveReader::chunk_bytes(std::size_t ds_index,
                                                      std::size_t chunk) {
   const DatasetInfo& ds = directory_[ds_index];
   const ChunkInfo& c = ds.chunks[chunk];
-  ChunkBytes out;
-  if (!view_.empty()) {
-    // Extents were validated to tile [head, footer) at open, so this
-    // subspan cannot run off the mapping.
-    out.bytes = view_.subspan(static_cast<std::size_t>(c.offset),
-                              static_cast<std::size_t>(c.size));
-  } else {
-    check_decode_alloc(static_cast<std::size_t>(c.size), 1, "archive");
-    out.owned.resize(static_cast<std::size_t>(c.size));
-    file_.read_at(c.offset, out.owned, "chunk");
-    out.bytes = out.owned;
-  }
+  ChunkBytes out = fetch(c.offset, c.size, "chunk");
   const std::size_t flat = chunk_bit_base_[ds_index] + chunk;
   if (chunk_verified(flat)) {
     obs::counter_add("archive.verify_skips");
   } else {
     // First touch: verify now, remember only success — a corrupt chunk
     // must fail on every touch, so a failed verdict is never recorded.
-    if (fnv1a64(out.bytes) != c.checksum) {
-      obs::counter_add("archive.checksum_mismatches");
-      throw StreamError("archive: dataset " + ds.name + " chunk " +
-                        std::to_string(chunk) +
-                        " checksum mismatch (corrupt archive)");
-    }
+    if (fnv1a64(out.bytes) != c.checksum) throw_corrupt_chunk(ds, chunk);
     obs::counter_add("archive.lazy_verifies");
     mark_chunk_verified(flat);
   }
@@ -696,117 +611,62 @@ std::vector<std::uint8_t> ArchiveReader::read_chunk_bytes(
   return std::vector<std::uint8_t>(cb.bytes.begin(), cb.bytes.end());
 }
 
-namespace {
-
-/// Decode one verified chunk stream and check its shape against the
-/// directory row count.
 template <typename T>
-std::vector<T> decode_chunk(const DatasetInfo& ds, std::size_t chunk,
-                            std::span<const std::uint8_t> bytes,
-                            Dims* dims_out) {
-  Dims want = ds.dims;
-  want.d[0] = static_cast<std::size_t>(ds.chunks[chunk].rows);
-  auto comp = make_compressor(ds.scheme);
-  Dims got;
-  std::vector<T> data;
-  if constexpr (std::is_same_v<T, float>)
-    data = comp->decompress_f32(bytes, &got);
-  else
-    data = comp->decompress_f64(bytes, &got);
-  if (!(got == want) || data.size() != want.count())
-    throw StreamError("archive: dataset " + ds.name + " chunk " +
-                      std::to_string(chunk) +
-                      " shape does not match the directory");
-  if (dims_out) *dims_out = got;
-  return data;
-}
-
-}  // namespace
-
-template <typename T>
-void ArchiveReader::copy_chunk_elems(std::size_t ds_index, std::size_t chunk,
-                                     std::size_t elem_begin,
-                                     std::size_t elem_count, T* dst) {
+slab::Decoded ArchiveReader::chunk_values(std::size_t ds_index,
+                                          std::size_t chunk) {
   const DatasetInfo& ds = directory_[ds_index];
-  const ChunkInfo& c = ds.chunks[chunk];
   ChunkCache& cache = ChunkCache::instance();
   const ChunkKey key{cache_id_, static_cast<std::uint32_t>(ds_index),
-                     static_cast<std::uint32_t>(chunk), c.checksum};
-  if (auto hit = cache.get(key)) {
-    std::memcpy(dst, hit->data() + elem_begin * sizeof(T),
-                elem_count * sizeof(T));
-    return;
-  }
+                     static_cast<std::uint32_t>(chunk),
+                     ds.chunks[chunk].checksum};
+  if (auto hit = cache.get(key)) return {*hit, hit};
   auto cb = chunk_bytes(ds_index, chunk);
-  auto data = decode_chunk<T>(ds, chunk, cb.bytes, nullptr);
-  std::memcpy(dst, data.data() + elem_begin, elem_count * sizeof(T));
+  auto data = slab::decode<T>(ds.scheme, cb.bytes,
+                              plans_[ds_index].dims(chunk, ds.dims));
   if (cache.capacity() != 0) {
     const auto* raw = reinterpret_cast<const std::uint8_t*>(data.data());
     cache.put(key, std::make_shared<std::vector<std::uint8_t>>(
                        raw, raw + data.size() * sizeof(T)));
   }
+  return slab::own(std::move(data));
+}
+
+template <typename T>
+std::vector<T> ArchiveReader::read_range(const std::string& name,
+                                         std::size_t row_begin,
+                                         std::size_t row_end,
+                                         Dims* roi_dims_out,
+                                         std::size_t threads) {
+  const std::size_t di = dataset_index(name);
+  const DatasetInfo& ds = directory_[di];
+  if (ds.dtype != data_type_of<T>())
+    throw StreamError("archive: dataset " + name +
+                      " data type does not match");
+  // I/O, verification, and decode all happen inside the fetches: chunk
+  // bytes come from the mapping (or positional reads) with no shared seek
+  // position, so nothing serializes.
+  return slab::read_rows<T>(
+      plans_[di], ds.dims, row_begin, row_end, threads,
+      [&](std::size_t i) { return chunk_values<T>(di, i); }, "archive",
+      roi_dims_out);
 }
 
 template <typename T>
 std::vector<T> ArchiveReader::load(const std::string& name, Dims* dims_out,
                                    std::size_t threads) {
   obs::Span root_span("archive.load");
-  const std::size_t di = dataset_index(name);
-  const DatasetInfo& ds = directory_[di];
-  if (ds.dtype != data_type_of<T>())
-    throw StreamError("archive: dataset " + name +
-                      " data type does not match");
-  const std::size_t n = checked_count(ds.dims, "archive");
-  check_decode_alloc(n, sizeof(T), "archive");
-  if (dims_out) *dims_out = ds.dims;
-  const std::size_t row_elems = n / ds.dims[0];
-
-  std::vector<std::uint64_t> row_begin(ds.chunks.size());
-  std::uint64_t at = 0;
-  for (std::size_t i = 0; i < ds.chunks.size(); ++i) {
-    row_begin[i] = at;
-    at += ds.chunks[i].rows;
-  }
-
-  // I/O, verification, and decode all happen inside the workers: chunk
-  // bytes come from the mapping (or positional reads) with no shared
-  // seek position, so nothing below serializes.
-  std::vector<T> out(n);
-  ParallelOptions opts;
-  opts.max_threads = resolve_threads(threads);
-  opts.grain = 1;
-  parallel_for(
-      ds.chunks.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t elems =
-              static_cast<std::size_t>(ds.chunks[i].rows) * row_elems;
-          copy_chunk_elems<T>(di, i, 0, elems,
-                              out.data() + row_begin[i] * row_elems);
-        }
-      },
-      opts);
-  return out;
+  return read_range<T>(name, 0, dataset(name).dims[0], dims_out, threads);
 }
 
 template <typename T>
 std::vector<T> ArchiveReader::load_chunk(const std::string& name,
                                          std::size_t chunk,
                                          Dims* chunk_dims_out) {
-  const std::size_t di = dataset_index(name);
-  const DatasetInfo& ds = directory_[di];
-  if (ds.dtype != data_type_of<T>())
-    throw StreamError("archive: dataset " + name +
-                      " data type does not match");
-  if (chunk >= ds.chunks.size())
+  const slab::Plan& plan = plans_[dataset_index(name)];
+  if (chunk >= plan.size())
     throw ParamError("archive: chunk index out of range for " + name);
-  Dims cdims = ds.dims;
-  cdims.d[0] = static_cast<std::size_t>(ds.chunks[chunk].rows);
-  check_decode_alloc(cdims.count(), sizeof(T), "archive");
-  std::vector<T> out(cdims.count());
-  copy_chunk_elems<T>(di, chunk, 0, out.size(), out.data());
-  if (chunk_dims_out) *chunk_dims_out = cdims;
-  return out;
+  return read_range<T>(name, plan.row_begin(chunk), plan.row_begin(chunk + 1),
+                       chunk_dims_out, 1);
 }
 
 template <typename T>
@@ -816,81 +676,17 @@ std::vector<T> ArchiveReader::read_rows(const std::string& name,
                                         Dims* roi_dims_out,
                                         std::size_t threads) {
   obs::Span root_span("archive.read_rows");
-  const std::size_t di = dataset_index(name);
-  const DatasetInfo& ds = directory_[di];
-  if (ds.dtype != data_type_of<T>())
-    throw StreamError("archive: dataset " + name +
-                      " data type does not match");
-  if (row_begin >= row_end || row_end > ds.dims[0])
-    throw ParamError("archive: row range out of bounds");
-  const std::size_t n = checked_count(ds.dims, "archive");
-  const std::size_t row_elems = n / ds.dims[0];
-  Dims roi = ds.dims;
-  roi.d[0] = row_end - row_begin;
-  check_decode_alloc(roi.count(), sizeof(T), "archive");
-  if (roi_dims_out) *roi_dims_out = roi;
-
-  // Chunks overlapping the row range; only these are touched (and thus
-  // lazily checksummed).
-  struct Wanted {
-    std::size_t chunk;
-    std::size_t chunk_row_begin;
-  };
-  std::vector<Wanted> wanted;
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < ds.chunks.size(); ++i) {
-    const std::size_t rows = static_cast<std::size_t>(ds.chunks[i].rows);
-    if (at < row_end && at + rows > row_begin) wanted.push_back({i, at});
-    at += rows;
-  }
-
-  std::vector<T> out(roi.count());
-  ParallelOptions opts;
-  opts.max_threads = resolve_threads(threads);
-  opts.grain = 1;
-  parallel_for(
-      wanted.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t w = begin; w < end; ++w) {
-          const Wanted& item = wanted[w];
-          const std::size_t rows =
-              static_cast<std::size_t>(ds.chunks[item.chunk].rows);
-          const std::size_t from = std::max(item.chunk_row_begin, row_begin);
-          const std::size_t to =
-              std::min(item.chunk_row_begin + rows, row_end);
-          copy_chunk_elems<T>(di, item.chunk,
-                              (from - item.chunk_row_begin) * row_elems,
-                              (to - from) * row_elems,
-                              out.data() + (from - row_begin) * row_elems);
-        }
-      },
-      opts);
-  return out;
+  return read_range<T>(name, row_begin, row_end, roi_dims_out, threads);
 }
 
 void ArchiveReader::verify() {
   obs::Span root_span("archive.verify");
-  std::vector<std::uint8_t> scratch;  // pread fallback only
   for (std::size_t d = 0; d < directory_.size(); ++d) {
     const auto& ds = directory_[d];
     for (std::size_t i = 0; i < ds.chunks.size(); ++i) {
       const ChunkInfo& c = ds.chunks[i];
-      std::span<const std::uint8_t> bytes;
-      if (!view_.empty()) {
-        bytes = view_.subspan(static_cast<std::size_t>(c.offset),
-                              static_cast<std::size_t>(c.size));
-      } else {
-        check_decode_alloc(static_cast<std::size_t>(c.size), 1, "archive");
-        scratch.resize(static_cast<std::size_t>(c.size));
-        file_.read_at(c.offset, scratch, "chunk");
-        bytes = scratch;
-      }
-      if (fnv1a64(bytes) != c.checksum) {
-        obs::counter_add("archive.checksum_mismatches");
-        throw StreamError("archive: dataset " + ds.name + " chunk " +
-                          std::to_string(i) +
-                          " checksum mismatch (corrupt archive)");
-      }
+      if (fnv1a64(fetch(c.offset, c.size, "chunk").bytes) != c.checksum)
+        throw_corrupt_chunk(ds, i);
       // The eager scan proved this chunk good; later loads can skip it.
       mark_chunk_verified(chunk_bit_base_[d] + i);
     }

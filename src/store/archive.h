@@ -13,6 +13,7 @@
 
 #include "common/mapped_file.h"
 #include "core/compressor.h"
+#include "parallel/slab.h"
 
 namespace transpwr {
 namespace store {
@@ -90,17 +91,20 @@ ChunkSummary summarize_values(std::span<const T> values);
 struct DatasetOptions {
   Scheme scheme = Scheme::kSzT;
   CompressorParams params;
-  std::size_t rows_per_chunk = 0;  ///< 0 => one chunk per worker thread
-  std::size_t threads = 0;         ///< 0 => hardware concurrency
+  std::size_t rows_per_chunk = 0;  ///< 0 => one chunk per thread
+  /// At most this many chunks compress at once (the writer thread
+  /// included); 0 => hardware concurrency.
+  std::size_t threads = 0;
   /// Compute per-chunk ChunkSummary blocks (TPAR v2 compressed-domain
   /// analytics) by decoding each chunk right after compressing it.
   bool summaries = true;
 };
 
-/// Writes a TPAR archive. Chunk compression is fanned out over the shared
-/// thread pool and *pipelined* with the sequential file writes: chunk i is
-/// appended as soon as it is compressed while later chunks are still in
-/// flight, so the writer streams instead of buffering a whole dataset.
+/// Writes a TPAR archive. Chunk compression is fanned out over at most
+/// `DatasetOptions::threads` threads (parallel/slab.h) and *pipelined* with
+/// the sequential file writes: chunk i is appended as soon as it is
+/// compressed while later chunks are still in flight, so the writer streams
+/// instead of buffering a whole dataset.
 ///
 /// Finalization is crash-safe: bytes go to `<path>.part` and the file is
 /// renamed onto `path` only after the footer is flushed, so a crashed or
@@ -214,8 +218,9 @@ class ArchiveReader {
   /// file changes identity and is re-opened on the next request.
   std::uint64_t identity() const { return cache_id_; }
 
-  /// Decompress a whole dataset (chunks lazily checksummed and decoded in
-  /// parallel; `threads` = 0 uses hardware concurrency).
+  /// Decompress a whole dataset: read_rows over every row (chunks lazily
+  /// checksummed and decoded in parallel; `threads` = 0 uses hardware
+  /// concurrency).
   template <typename T>
   std::vector<T> load(const std::string& name, Dims* dims_out = nullptr,
                       std::size_t threads = 0);
@@ -245,24 +250,32 @@ class ArchiveReader {
   void verify();
 
  private:
-  /// One chunk's compressed bytes: a borrowed view in zero-copy modes, an
-  /// owned pread buffer otherwise. `bytes` is valid either way.
+  /// The bytes of one file region (a chunk or the framing): a borrowed
+  /// view in zero-copy modes, an owned pread buffer otherwise. `bytes` is
+  /// valid either way.
   struct ChunkBytes {
     std::span<const std::uint8_t> bytes;
     std::vector<std::uint8_t> owned;
   };
 
+  /// Fetch `len` bytes at `offset`, unchecked.
+  ChunkBytes fetch(std::uint64_t offset, std::uint64_t len,
+                   const char* what) const;
+
   /// Fetch chunk bytes and lazily verify their checksum (first touch
   /// verifies and records the verdict; later touches skip the checksum).
   ChunkBytes chunk_bytes(std::size_t ds_index, std::size_t chunk);
 
-  /// Copy `elem_count` elements of one chunk's decoded payload, starting
-  /// at `elem_begin`, into `dst` — served from the shared decoded-chunk
+  /// One chunk's decoded values — served from the shared decoded-chunk
   /// cache on a hit, decoded (and inserted) on a miss.
   template <typename T>
-  void copy_chunk_elems(std::size_t ds_index, std::size_t chunk,
-                        std::size_t elem_begin, std::size_t elem_count,
-                        T* dst);
+  slab::Decoded chunk_values(std::size_t ds_index, std::size_t chunk);
+
+  /// The one read path behind load, load_chunk and read_rows.
+  template <typename T>
+  std::vector<T> read_range(const std::string& name, std::size_t row_begin,
+                            std::size_t row_end, Dims* roi_dims_out,
+                            std::size_t threads);
 
   std::size_t dataset_index(const std::string& name) const;
   bool chunk_verified(std::size_t flat_index) const;
@@ -275,6 +288,7 @@ class ArchiveReader {
   std::uint32_t version_ = 0;
   std::uint64_t cache_id_ = 0;  // ChunkCache archive identity
   std::vector<DatasetInfo> directory_;
+  std::vector<slab::Plan> plans_;  // chunk row plan per dataset
   // Lazy-verification bitmap over all chunks of all datasets, flattened
   // in directory order; chunk_bit_base_[d] is dataset d's first bit.
   std::vector<std::size_t> chunk_bit_base_;

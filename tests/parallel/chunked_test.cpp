@@ -4,9 +4,12 @@
 
 #include <cmath>
 
+#include "common/bytestream.h"
+#include "common/decode_guard.h"
 #include "common/error.h"
 #include "data/generators.h"
 #include "metrics/metrics.h"
+#include "store/archive.h"
 
 namespace transpwr {
 namespace {
@@ -196,6 +199,91 @@ TEST(Chunked, RoiRejectsBadRange) {
   EXPECT_THROW(chunked::decompress_rows<float>(stream, 3, 3), ParamError);
   EXPECT_THROW(chunked::decompress_rows<float>(stream, 0, 11), ParamError);
   EXPECT_THROW(chunked::decompress_rows<float>(stream, 5, 4), ParamError);
+}
+
+// The ROI allocation, not the whole field, is what the decode guard must
+// admit: a 4 MiB field under a 1 MiB limit still serves a two-row read,
+// exactly as ArchiveReader::read_rows does on the same slabs.
+TEST(Chunked, RoiDecodeGuardChecksTheRoiNotTheField) {
+  auto f = gen::nyx_velocity(Dims(256, 64, 64), 41);
+  chunked::Params p;
+  p.scheme = Scheme::kSzT;
+  p.compressor.bound = 1e-2;
+  p.num_chunks = 8;
+  auto stream = chunked::compress<float>(f.span(), f.dims, p);
+  std::vector<std::uint8_t> bytes;
+  {
+    store::ArchiveWriter w(&bytes);
+    store::DatasetOptions o;
+    o.scheme = p.scheme;
+    o.params = p.compressor;
+    o.rows_per_chunk = 32;
+    w.add_dataset<float>("f", f.span(), f.dims, o);
+    w.finish();
+  }
+  store::ArchiveReader reader{std::span<const std::uint8_t>(bytes)};
+
+  ScopedDecodeLimit limit(1u << 20);
+  Dims roi;
+  auto rows = chunked::decompress_rows<float>(stream, 3, 5, &roi);
+  EXPECT_EQ(roi, Dims(2, 64, 64));
+  EXPECT_EQ(rows, reader.read_rows<float>("f", 3, 5));
+  EXPECT_THROW(chunked::decompress<float>(stream), StreamError);
+}
+
+// One slab engine under both containers: for the same field, scheme,
+// params and slab plan, the archive stores exactly the CHK1 slab streams,
+// and both ROI paths return identical values over the RoiEdgeCases ranges.
+TEST(Chunked, ArchiveAndContainerShareTheSlabEngine) {
+  auto f = gen::nyx_velocity(Dims(26, 6, 6), 31);
+  chunked::Params p;
+  p.scheme = Scheme::kSzT;
+  p.compressor.bound = 1e-2;
+  p.num_chunks = 4;  // 7 rows per slab
+  p.threads = 2;
+  auto stream = chunked::compress<float>(f.span(), f.dims, p);
+  std::vector<std::uint8_t> bytes;
+  {
+    store::ArchiveWriter w(&bytes);
+    store::DatasetOptions o;
+    o.scheme = p.scheme;
+    o.params = p.compressor;
+    o.rows_per_chunk = 7;
+    o.threads = 2;
+    w.add_dataset<float>("f", f.span(), f.dims, o);
+    w.finish();
+  }
+  store::ArchiveReader reader{std::span<const std::uint8_t>(bytes)};
+
+  // CHK1: 32-byte header, u32 slab count, u64 rows per slab, then every
+  // slab as u64 FNV-1a + u64-sized stream.
+  ByteReader in(stream);
+  in.get_bytes(32);
+  const auto slabs = in.get<std::uint32_t>();
+  ASSERT_EQ(slabs, reader.dataset("f").chunks.size());
+  in.get_bytes(8 * slabs);
+  for (std::uint32_t i = 0; i < slabs; ++i) {
+    SCOPED_TRACE(i);
+    in.get<std::uint64_t>();
+    auto slab = in.get_sized();
+    EXPECT_EQ(reader.read_chunk_bytes("f", i),
+              std::vector<std::uint8_t>(slab.begin(), slab.end()));
+  }
+
+  for (auto [b, e] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 26}, {20, 21}, {21, 22}, {25, 26}, {3, 21}}) {
+    SCOPED_TRACE(b);
+    Dims chunked_roi, archive_roi;
+    EXPECT_EQ(chunked::decompress_rows<float>(stream, b, e, &chunked_roi),
+              reader.read_rows<float>("f", b, e, &archive_roi));
+    EXPECT_EQ(chunked_roi, archive_roi);
+  }
+  EXPECT_EQ(chunked::decompress<float>(stream), reader.load<float>("f"));
+  for (auto [b, e] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 0}, {26, 26}, {25, 27}, {26, 27}}) {
+    EXPECT_THROW(chunked::decompress_rows<float>(stream, b, e), ParamError);
+    EXPECT_THROW(reader.read_rows<float>("f", b, e), ParamError);
+  }
 }
 
 // --- StreamingCompressor (in-situ accumulation) ---

@@ -42,10 +42,15 @@ TRANSPWR_KERNELS=native "$asan/tools/conformance/fuzz_decode" --iters "$iters"
 # ASan armed. The concurrent-reader hammer test doubles as a
 # use-after-free probe on evicted-but-still-referenced cache entries (the
 # tsan ctest label marks the same tests for -DTRANSPWR_SANITIZE=thread).
+# The chunked container and the slab engine both slab containers share
+# run here too, so the ordered fan-out and the ROI path get ASan as well.
 echo "=== tier-1 [asan-ubsan]: archive cache smoke ==="
-cmake --build "$asan" --target test_chunk_cache test_archive -j "$jobs"
+cmake --build "$asan" --target test_chunk_cache test_archive test_chunked \
+  test_slab -j "$jobs"
 "$asan/tests/test_chunk_cache"
 "$asan/tests/test_archive"
+"$asan/tests/test_chunked"
+"$asan/tests/test_slab"
 
 # Serve loopback smoke under the same sanitizers: a real Server on
 # ephemeral loopback ports, concurrent TPRQ1 clients, every HTTP route,
