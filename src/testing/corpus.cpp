@@ -18,6 +18,7 @@
 #include "store/archive.h"
 #include "store/chunk_cache.h"
 #include "sz/interp.h"
+#include "sz/outlier_coding.h"
 #include "sz/sz.h"
 #include "testing/generators.h"
 #include "testing/temp_file.h"
@@ -100,6 +101,44 @@ std::vector<CorpusCase> build_cases() {
     auto s = sz::compress<float>(field, d1, p);
     patch(s, 45, {0, 0, 0, 0});
     cases.push_back({"sz_pwr_zero_block_edge", std::move(s)});
+  }
+  {  // sz outlier section out of step with the zero codes: a multi-plane
+     // 3-D kAbs stream (header ends at 49, then the sized code section,
+     // then the sized outlier section) whose outlier list is rewritten one
+     // value short and one value long.
+    Dims d3(6, 9, 10);
+    auto noisy = base_field(d3.count());
+    sz::Params p;
+    p.bound = 1e-4;
+    p.quant_intervals = 16;
+    auto s = sz::compress<float>(noisy, d3, p);
+    std::uint64_t coded_len = 0;
+    std::memcpy(&coded_len, s.data() + 49, 8);
+    const std::size_t off = 49 + 8 + static_cast<std::size_t>(coded_len);
+    std::uint64_t outlier_len = 0;
+    std::memcpy(&outlier_len, s.data() + off, 8);
+    auto outliers = sz_detail::decode_outliers<float>(lossless::decompress(
+        {s.data() + off + 8, static_cast<std::size_t>(outlier_len)}));
+    if (outliers.size() < d3[0])
+      throw std::logic_error("corpus: sz field has too few outliers");
+    auto with_outliers = [&](std::vector<float> values) {
+      std::vector<std::uint8_t> t(s.begin(),
+                                  s.begin() + static_cast<std::ptrdiff_t>(off));
+      auto section =
+          lossless::compress(sz_detail::encode_outliers<float>(values));
+      const std::uint64_t len = section.size();
+      std::uint8_t lenb[8];
+      std::memcpy(lenb, &len, 8);
+      t.insert(t.end(), lenb, lenb + 8);
+      t.insert(t.end(), section.begin(), section.end());
+      return t;
+    };
+    auto shorter = outliers;
+    shorter.pop_back();
+    cases.push_back({"sz_outliers_exhausted", with_outliers(shorter)});
+    auto longer = outliers;
+    longer.push_back(1.0f);
+    cases.push_back({"sz_trailing_outliers", with_outliers(longer)});
   }
   {  // sz_interp header: dims at 8.
     sz_interp::Params p;
