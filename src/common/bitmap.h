@@ -63,6 +63,22 @@ class Bitmap {
       words_[i / kWordBits] &= ~word_bit(i);
   }
 
+  /// Set bits [b, e), a whole word at a time between the edge words.
+  void set_range(std::size_t b, std::size_t e) {
+    if (b >= e) return;
+    const std::size_t wb = b / kWordBits, wl = (e - 1) / kWordBits;
+    const std::uint64_t head = ~std::uint64_t{0} << (b % kWordBits);
+    const std::uint64_t tail =
+        ~std::uint64_t{0} >> (kWordBits - 1 - (e - 1) % kWordBits);
+    if (wb == wl) {
+      words_[wb] |= head & tail;
+      return;
+    }
+    words_[wb] |= head;
+    for (std::size_t w = wb + 1; w < wl; ++w) words_[w] = ~std::uint64_t{0};
+    words_[wl] |= tail;
+  }
+
   /// True if any bit is set (word-level scan).
   bool any() const {
     for (auto w : words_)

@@ -223,54 +223,69 @@ TransformResult<T> log_forward(std::span<const T> data, double rel_bound,
 }
 
 template <typename T>
-std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
-                           double base, double zero_threshold,
-                           std::size_t threads, LogExpPath path) {
-  if (!negative.empty() && negative.size() != mapped.size())
+void log_inverse_inplace(std::span<T> data, const Bitmap& negative,
+                         double base, double zero_threshold,
+                         std::size_t threads, LogExpPath path) {
+  if (!negative.empty() && negative.size() != data.size())
     throw ParamError("log inverse: sign bitmap size mismatch");
-  std::vector<T> out(mapped.size());
-  const LogKernel kernel(base);
-  const bool has_signs = !negative.empty();
+  const std::uint64_t* sign_words =
+      negative.empty() ? nullptr : negative.words().data();
   // kAuto mirrors the writer side: fast kernel for float, libm for double.
   // Containers that recorded log-kernel version 0 pass kLegacyLibm so old
   // streams keep decoding bit-exactly. Double payloads never take the fast
   // path regardless of `path`.
   const bool use_fast =
       std::is_same_v<T, float> && path != LogExpPath::kLegacyLibm;
+  const LogKernel kernel(base);
   const double log2_base = std::log2(base);
 
+  // Blocks are bitmap-word aligned (kGrain % 64 == 0), so each block's
+  // signs start at bit 0 of its first word.
   ParallelOptions opts;
   opts.max_threads = threads;
   opts.grain = kGrain;
   parallel_for(
-      mapped.size(),
+      data.size(),
       [&](std::size_t b, std::size_t e) {
+        if constexpr (std::is_same_v<T, float>) {
+          if (use_fast) {
+            kernels::exp2_inverse_f32_block(
+                data.data() + b, e - b, log2_base, zero_threshold,
+                sign_words ? sign_words + b / 64 : nullptr);
+            return;
+          }
+        }
         double tile_in[kTile];
         double tile_exp[kTile];
         for (std::size_t t = b; t < e; t += kTile) {
           const std::size_t end = std::min(e, t + kTile);
           for (std::size_t i = t; i < end; ++i)
-            tile_in[i - t] = static_cast<double>(mapped[i]);
-          if (use_fast)
-            kernels::exp2_scaled_batch(tile_in, tile_exp, end - t, log2_base);
-          else
-            kernel.exp_batch(tile_in, tile_exp, end - t);
+            tile_in[i - t] = static_cast<double>(data[i]);
+          kernel.exp_batch(tile_in, tile_exp, end - t);
           for (std::size_t i = t; i < end; ++i) {
             if (tile_in[i - t] <= zero_threshold) {
-              out[i] = T{0};
+              data[i] = T{0};
               continue;
             }
             double v = tile_exp[i - t];
-            if (has_signs && negative[i]) v = -v;
+            if (sign_words && negative[i]) v = -v;
             // Saturating cast: the exponential of a mapped value near the
             // top of T's range can land one rounding step above max<T>,
             // where a plain double->T cast is undefined. Clamping to max<T>
             // keeps the relative bound (x >= max/(1+br) there).
-            out[i] = narrow_to<T>(v);
+            data[i] = narrow_to<T>(v);
           }
         }
       },
       opts);
+}
+
+template <typename T>
+std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
+                           double base, double zero_threshold,
+                           std::size_t threads, LogExpPath path) {
+  std::vector<T> out(mapped.begin(), mapped.end());
+  log_inverse_inplace<T>(out, negative, base, zero_threshold, threads, path);
   return out;
 }
 
@@ -282,6 +297,12 @@ template TransformResult<float> log_forward<float>(std::span<const float>,
 template TransformResult<double> log_forward<double>(std::span<const double>,
                                                      double, double,
                                                      std::size_t);
+template void log_inverse_inplace<float>(std::span<float>, const Bitmap&,
+                                         double, double, std::size_t,
+                                         LogExpPath);
+template void log_inverse_inplace<double>(std::span<double>, const Bitmap&,
+                                          double, double, std::size_t,
+                                          LogExpPath);
 template std::vector<float> log_inverse<float>(std::span<const float>,
                                                const Bitmap&, double, double,
                                                std::size_t, LogExpPath);

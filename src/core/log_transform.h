@@ -62,9 +62,18 @@ template <typename T>
 TransformResult<T> log_forward(std::span<const T> data, double rel_bound,
                                double base, std::size_t threads = 0);
 
-/// Inverse mapping: exponentiates, restores signs and exact zeros.
-/// `negative` may be empty (all values non-negative). Parallel with the
-/// same determinism guarantee as log_forward.
+/// Inverse mapping in place: exponentiates `data`, restores signs and
+/// exact zeros. `negative` may be empty (all values non-negative). Parallel
+/// with the same determinism guarantee as log_forward. Float payloads on
+/// the fast kernel run the fused kernels::exp2_inverse_f32_block; double
+/// payloads and version-0 streams keep libm.
+template <typename T>
+void log_inverse_inplace(std::span<T> data, const Bitmap& negative,
+                         double base, double zero_threshold,
+                         std::size_t threads = 0,
+                         LogExpPath path = LogExpPath::kAuto);
+
+/// log_inverse_inplace on a copy of `mapped`.
 template <typename T>
 std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
                            double base, double zero_threshold,

@@ -172,7 +172,9 @@ std::vector<float> TemporalDecompressor::decompress_snapshot(
     BitReader br(raw);
     negative = rle::decode_bits(br);
   }
-  return log_inverse<float>(recon, negative, base, zero_threshold);
+  log_inverse_inplace<float>(std::span<float>(recon), negative, base,
+                             zero_threshold);
+  return recon;
 }
 
 }  // namespace transpwr

@@ -137,9 +137,13 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
     BitReader br(raw);
     negative = rle::decode_bits(br);
   }
-  return log_inverse<T>(mapped, negative, base, zero_threshold, threads,
-                        log_kernel == 1 ? LogExpPath::kFastKernel
-                                        : LogExpPath::kLegacyLibm);
+  // The inner codec's output buffer becomes the result: exponentiated in
+  // place, no second field-sized allocation.
+  log_inverse_inplace<T>(std::span<T>(mapped), negative, base,
+                         zero_threshold, threads,
+                         log_kernel == 1 ? LogExpPath::kFastKernel
+                                         : LogExpPath::kLegacyLibm);
+  return mapped;
 }
 
 template std::vector<std::uint8_t> transformed_compress<float>(

@@ -18,7 +18,7 @@
 
 #include <immintrin.h>
 
-#include "kernels/log_batch.h"
+#include "kernels/simd.h"
 
 namespace transpwr {
 namespace kernels {

@@ -21,7 +21,7 @@
 
 #include <immintrin.h>
 
-#include "kernels/log_batch.h"
+#include "kernels/simd.h"
 
 // GCC's AVX-512 intrinsic headers route through _mm512_undefined_*, which
 // trips -Wmaybe-uninitialized at -O3 (GCC PR105593); not a real read.

@@ -278,6 +278,73 @@ inline void lorenzo_recon_run(const std::uint32_t* codes, T* recon,
   }
 }
 
+// Decode mirror of lorenzo_quant_wavefront3: reconstructs W consecutive
+// interior rows (same z >= 1 plane, all y >= 1, full rows [0, nx)) in the
+// same staggered order. Lane l consumes outliers through its own cursor
+// outlier_next[l], which the caller sets to the first outlier of row
+// base + l * sy (the number of zero codes before it in raster order), so the
+// lanes never contend for one stream position. Per-point expressions are
+// the lorenzo_predict / lorenzo_recon_run bodies verbatim, so every value
+// matches the row-at-a-time decode bit for bit. Caller guarantees nx >= W.
+template <typename T, int W>
+inline void lorenzo_recon_wavefront3(const std::uint32_t* codes, T* recon,
+                                     const T* outliers,
+                                     std::size_t n_outliers,
+                                     std::size_t* outlier_next,
+                                     std::size_t base, std::size_t nx,
+                                     std::size_t sy, std::size_t sz,
+                                     double two_eb, std::int64_t radius) {
+  double prev[W], prev_up[W], prev_zz[W], prev_zy[W];
+  const auto value = [&](int l, std::size_t idx, double pred) {
+    const std::uint32_t code = codes[idx];
+    if (code == 0) {
+      if (outlier_next[l] >= n_outliers)
+        throw StreamError("sz: outlier stream exhausted");
+      return outliers[outlier_next[l]++];
+    }
+    return dequantize_point<T>(pred, two_eb,
+                               static_cast<std::int64_t>(code) - radius);
+  };
+  // x == 0 of lane l: lorenzo_predict's nd == 3 expression with the
+  // x-dependent neighbors zero; seeds the sliding stencil for x == 1.
+  const auto boundary_step = [&](int l) {
+    const std::size_t idx = base + static_cast<std::size_t>(l) * sy;
+    const double c100 = static_cast<double>(recon[idx - sz]);
+    const double c010 = static_cast<double>(recon[idx - sy]);
+    const double c110 = static_cast<double>(recon[idx - sz - sy]);
+    const double pred = c100 + c010 + 0.0 - c110 - 0.0 - 0.0 + 0.0;
+    const T rv = value(l, idx, pred);
+    recon[idx] = rv;
+    prev[l] = static_cast<double>(rv);
+    prev_zz[l] = c100;
+    prev_up[l] = c010;
+    prev_zy[l] = c110;
+  };
+  const auto step = [&](int l, std::size_t x) {
+    const std::size_t idx = base + static_cast<std::size_t>(l) * sy + x;
+    const double c100 = static_cast<double>(recon[idx - sz]);
+    const double c010 = static_cast<double>(recon[idx - sy]);
+    const double c110 = static_cast<double>(recon[idx - sz - sy]);
+    const double pred =
+        c100 + c010 + prev[l] - c110 - prev_zz[l] - prev_up[l] + prev_zy[l];
+    prev_zz[l] = c100;
+    prev_up[l] = c010;
+    prev_zy[l] = c110;
+    const T rv = value(l, idx, pred);
+    recon[idx] = rv;
+    prev[l] = static_cast<double>(rv);
+  };
+  for (int t = 0; t < W; ++t) {  // ramp: lane t enters with its x == 0
+    boundary_step(t);
+    for (int l = 0; l < t; ++l) step(l, static_cast<std::size_t>(t - l));
+  }
+  for (std::size_t t = W; t < nx; ++t)  // steady state: all W lanes live
+    for (int l = 0; l < W; ++l) step(l, t - static_cast<std::size_t>(l));
+  for (std::size_t t = nx; t + 1 < nx + W; ++t)  // drain
+    for (int l = static_cast<int>(t - nx) + 1; l < W; ++l)
+      step(l, t - static_cast<std::size_t>(l));
+}
+
 }  // namespace kernels
 }  // namespace transpwr
 

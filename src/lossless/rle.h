@@ -1,6 +1,8 @@
 #ifndef TRANSPWR_LOSSLESS_RLE_H
 #define TRANSPWR_LOSSLESS_RLE_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "common/bitmap.h"
@@ -11,24 +13,25 @@
 namespace transpwr {
 namespace rle {
 
-/// Length of the run of bits equal to bits[i] starting at i, found by
-/// word-level scanning: a whole word equal to the run's fill pattern is
-/// skipped in one comparison, so dense same-sign fields scan at 64
-/// bits/step instead of 1.
+/// Length of the run of bits equal to bits[i] starting at i. Each word is
+/// XORed with the run's fill pattern, so the run ends at the first set bit
+/// of that difference: one countr_zero per word instead of a test per bit.
 inline std::size_t run_length(const Bitmap& bits, std::size_t i) {
-  const std::size_t n = bits.size();
-  const bool cur = bits[i];
-  std::size_t j = i + 1;
-  while (j < n && (j % Bitmap::kWordBits) != 0) {
-    if (bits[j] != cur) return j - i;
-    ++j;
+  const auto words = bits.words();
+  const std::uint64_t fill = bits[i] ? ~std::uint64_t{0} : std::uint64_t{0};
+  std::size_t w = i / Bitmap::kWordBits;
+  // Bits below i are shifted out; the zeros shifted in at the top never
+  // count as a difference.
+  std::uint64_t diff = (words[w] ^ fill) >> (i % Bitmap::kWordBits);
+  std::size_t end = i;
+  if (!diff) {
+    end = (w + 1) * Bitmap::kWordBits;
+    while (++w < words.size() && !(diff = words[w] ^ fill))
+      end += Bitmap::kWordBits;
   }
-  const std::uint64_t fill = cur ? ~std::uint64_t{0} : std::uint64_t{0};
-  auto words = bits.words();
-  while (j + Bitmap::kWordBits <= n && words[j / Bitmap::kWordBits] == fill)
-    j += Bitmap::kWordBits;
-  while (j < n && bits[j] == cur) ++j;
-  return j - i;
+  if (diff) end += static_cast<std::size_t>(std::countr_zero(diff));
+  // Bits past size() are zero, so a run of zeros can read on past the end.
+  return std::min(end, bits.size()) - i;
 }
 
 /// Run-length code a bit vector (e.g. a sign bitmap) as alternating-run
@@ -41,13 +44,17 @@ inline void encode_bits(const Bitmap& bits, BitWriter& bw) {
   bw.write_bit(bits[0]);
   std::size_t i = 0;
   while (i < bits.size()) {
-    std::size_t run = run_length(bits, i);
-    // Elias gamma of `run` (run >= 1).
-    unsigned nbits = 0;
-    for (std::size_t v = run; v > 1; v >>= 1) ++nbits;
-    bw.write_bits(0, nbits);      // nbits zeros
-    bw.write_bit(true);           // stop bit = MSB of run
-    bw.write_bits(run, nbits);    // low bits of run (LSB-first)
+    const std::size_t run = run_length(bits, i);
+    // Elias gamma of `run` (run >= 1): nbits zeros, the stop bit (the MSB
+    // of run), then the low nbits of run LSB-first.
+    const auto nbits = static_cast<unsigned>(std::bit_width(run) - 1);
+    const std::uint64_t tail = 1 | (static_cast<std::uint64_t>(run) << 1);
+    if (2 * nbits + 1 <= 64) {
+      bw.write_bits(tail << nbits, 2 * nbits + 1);
+    } else {
+      bw.write_bits(0, nbits);
+      bw.write_bits(tail, nbits + 1);
+    }
     i += run;
   }
 }
@@ -60,18 +67,38 @@ inline Bitmap decode_bits(BitReader& br) {
   bits.resize(n);
   bool cur = br.read_bit();
   std::size_t at = 0;
+  // Bits past the end peek as 0: a stop bit found in a window is always
+  // real, and a code that runs off the end makes skip_bits throw.
+  constexpr unsigned kWindow = 57;
   while (at < n) {
-    unsigned nbits = 0;
-    while (!br.read_bit()) ++nbits;
-    // A gamma prefix of >= 64 zeros cannot come from the encoder (runs fit
-    // in size_t) and would shift past the 64-bit accumulator below.
-    if (nbits >= 64) throw StreamError("rle: gamma run length overflow");
-    std::size_t run = (std::size_t{1} << nbits) | br.read_bits(nbits);
-    if (cur) {
-      std::size_t end = std::min(n, at + run);
-      for (std::size_t j = at; j < end; ++j) bits.set(j);
+    std::uint64_t window = br.peek_bits(kWindow);
+    auto nbits = static_cast<unsigned>(std::countr_zero(window));
+    std::size_t run;
+    if (window && 2 * nbits + 1 <= kWindow) {
+      // The whole gamma code sits in the window: nbits zeros, the stop
+      // bit, then the low nbits of the run.
+      run = (std::size_t{1} << nbits) |
+            ((window >> (nbits + 1)) & ((std::size_t{1} << nbits) - 1));
+      br.skip_bits(2 * nbits + 1);
+    } else {
+      // Long prefix: count zeros a window at a time.
+      nbits = 0;
+      while (!window && nbits < 64) {
+        nbits += kWindow;
+        br.skip_bits(kWindow);
+        window = br.peek_bits(kWindow);
+      }
+      // A gamma prefix of >= 64 zeros cannot come from the encoder (runs
+      // fit in size_t) and would shift past the 64-bit accumulator below.
+      nbits += static_cast<unsigned>(std::countr_zero(window));
+      if (nbits >= 64) throw StreamError("rle: gamma run length overflow");
+      br.skip_bits(static_cast<unsigned>(std::countr_zero(window)) + 1);
+      run = (std::size_t{1} << nbits) | br.read_bits(nbits);
     }
-    at += run;
+    // A final run may overshoot n; clamp without forming at + run.
+    const std::size_t end = run >= n - at ? n : at + run;
+    if (cur) bits.set_range(at, end);
+    at = end;
     cur = !cur;
   }
   return bits;

@@ -1,15 +1,21 @@
 #include "sz/sz.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <exception>
+#include <functional>
 #include <limits>
+#include <mutex>
+#include <thread>
 
 #include "common/bitstream.h"
 #include "common/bytestream.h"
 #include "common/decode_guard.h"
 #include "common/error.h"
 #include "common/numeric.h"
+#include "common/parallel.h"
 #include "kernels/dispatch.h"
 #include "kernels/lorenzo.h"
 #include "lossless/blocked_huffman.h"
@@ -296,10 +302,230 @@ RegPlan<T> build_regression_plan(std::span<const T> data, const Geometry& g) {
   return plan;
 }
 
-/// Interior rows advanced together by the 3-D wavefront sweep. Four lanes
+/// Interior rows advanced together by the 3-D wavefront sweeps. Four lanes
 /// cover the quantizer's div+round+narrow latency chain on current cores;
 /// wider fronts spill the sliding stencil state out of registers.
 constexpr int kWavefrontRows = 4;
+
+/// Row-progress handshake of the plane-pipelined 3-D sweeps. Point (z, y, x)
+/// reads plane z - 1 only at rows y - 1 and y, so plane z can start row y
+/// as soon as plane z - 1 has finished rows [0, y]. run() hands planes out
+/// in order (parallel_for with grain 1 takes blocks from one counter), and
+/// a worker only ever waits on a plane that a running task took earlier,
+/// so the waits cannot deadlock. A nested pool-worker caller, or
+/// threads == 1, runs the planes inline in order and never waits.
+class PlanePipeline {
+ public:
+  explicit PlanePipeline(std::size_t nz) : done_(nz) {}
+
+  /// Block until plane z - 1 has finished its first `rows` rows: a short
+  /// spin, then yields.
+  void wait(std::size_t z, std::size_t rows) const {
+    if (z == 0) return;
+    const std::atomic<std::size_t>& done = done_[z - 1].rows;
+    for (unsigned spins = 0; done.load(std::memory_order_acquire) < rows;
+         ++spins) {
+      if (failed_.load(std::memory_order_relaxed)) throw Aborted{};
+      if (spins >= kSpins) std::this_thread::yield();
+    }
+  }
+
+  /// Plane z has finished its first `rows` rows.
+  void publish(std::size_t z, std::size_t rows) {
+    done_[z].rows.store(rows, std::memory_order_release);
+  }
+
+  /// plane(z) for every z, on at most `threads` workers (0 => default); a
+  /// single task runs all planes in order. A plane that throws releases
+  /// the planes waiting on it, and its exception is the one rethrown.
+  void run(std::size_t threads,
+           const std::function<void(std::size_t)>& plane) {
+    ParallelOptions opts;
+    opts.max_threads = threads;
+    opts.grain = 1;
+    std::mutex mu;
+    std::exception_ptr error;
+    try {
+      parallel_for(
+          done_.size(),
+          [&](std::size_t b, std::size_t e) {
+            try {
+              for (std::size_t z = b; z < e; ++z) plane(z);
+            } catch (const Aborted&) {
+              throw;
+            } catch (...) {
+              {
+                std::lock_guard lk(mu);
+                if (!error) error = std::current_exception();
+              }
+              failed_.store(true, std::memory_order_relaxed);
+              throw;
+            }
+          },
+          opts);
+    } catch (...) {
+      if (error) std::rethrow_exception(error);
+      throw;
+    }
+  }
+
+ private:
+  struct Aborted {};
+  struct alignas(64) Progress {
+    std::atomic<std::size_t> rows{0};
+  };
+  static constexpr unsigned kSpins = 256;
+
+  std::vector<Progress> done_;
+  std::atomic<bool> failed_{false};
+};
+
+/// The row schedule both 3-D kAbs sweeps share, run plane-pipelined.
+/// boundary_row(z, y) takes the rows with a reduced stencil (every row of
+/// plane 0, row 0 of the others), block(z, y) takes rows
+/// [y, y + kWavefrontRows) when rows are at least that long, and row(z, y)
+/// takes the rest one at a time.
+template <typename BoundaryRow, typename Block, typename Row>
+void sweep_planes(const Geometry& g, std::size_t threads,
+                  const BoundaryRow& boundary_row, const Block& block,
+                  const Row& row) {
+  const std::size_t ny = g.dims[1];
+  const bool blocks = g.dims[2] >= kWavefrontRows;
+  PlanePipeline pipe(g.dims[0]);
+  pipe.run(threads, [&](std::size_t z) {
+    std::size_t y = 0;
+    const auto advance = [&](std::size_t rows, const auto& sweep) {
+      pipe.wait(z, y + rows);
+      sweep(z, y);
+      y += rows;
+      pipe.publish(z, y);
+    };
+    while (y < (z == 0 ? ny : 1)) advance(1, boundary_row);
+    while (blocks && y + kWavefrontRows <= ny) advance(kWavefrontRows, block);
+    while (y < ny) advance(1, row);
+  });
+}
+
+/// Native-dispatch kAbs encode of a 3-D field, plane-pipelined. Boundary
+/// rows keep the checked per-point path; the other rows advance
+/// kWavefrontRows at a time in a staggered front (lorenzo_quant_wavefront3:
+/// lane l trails lane l - 1 by one column, so W reconstructed-value
+/// recurrences are in flight instead of one), and leftover rows run x == 0
+/// per point plus the interior run kernel. Every point evaluates the same
+/// expressions as the generic sweep in an order that respects every data
+/// dependency, so codes and recon are bit-identical to it for every thread
+/// count.
+template <typename T>
+void encode_planes(std::span<const T> data, const Geometry& g, double eb,
+                   std::uint32_t radius, std::uint32_t* codes, T* recon,
+                   std::size_t threads) {
+  const std::size_t nx = g.dims[2];
+  const double two_eb = 2.0 * eb;
+  const double threshold = (static_cast<double>(radius) - 0.5) * 2.0 * eb;
+  const auto radius_i = static_cast<std::int64_t>(radius);
+  const auto row_at = [&](std::size_t z, std::size_t y) {
+    return z * g.stride_z + y * g.stride_y;
+  };
+  const auto point = [&](std::size_t z, std::size_t y, std::size_t x) {
+    const std::size_t i = row_at(z, y) + x;
+    const double pred = kernels::lorenzo_predict(recon, 3, g.stride_y,
+                                                 g.stride_z, z, y, x, i);
+    const auto qs = kernels::quantize_point<T>(data[i], pred, eb, two_eb,
+                                               threshold, radius_i);
+    codes[i] = qs.code;
+    recon[i] = qs.recon;
+  };
+  sweep_planes(
+      g, threads,
+      [&](std::size_t z, std::size_t y) {
+        for (std::size_t x = 0; x < nx; ++x) point(z, y, x);
+      },
+      [&](std::size_t z, std::size_t y) {
+        kernels::lorenzo_quant_wavefront3<T, kWavefrontRows>(
+            data.data(), recon, codes, row_at(z, y), nx, g.stride_y,
+            g.stride_z, eb, two_eb, threshold, radius_i);
+      },
+      [&](std::size_t z, std::size_t y) {
+        point(z, y, 0);
+        if (nx > 1)
+          kernels::lorenzo_quant_run<3>(data.data(), recon, codes,
+                                        row_at(z, y) + 1, nx - 1, g.stride_y,
+                                        g.stride_z, eb, two_eb, threshold,
+                                        radius_i);
+      });
+}
+
+/// Decode mirror of encode_planes. Each row's outliers start at the number
+/// of zero codes before it in raster order, counted in parallel up front;
+/// a count that disagrees with the outlier section is rejected before the
+/// sweep starts, so no row reads past its share of the stream.
+template <typename T>
+void decode_planes(const std::uint32_t* codes, const Geometry& g, double eb,
+                   std::uint32_t radius, const std::vector<T>& outliers,
+                   T* recon, std::size_t threads) {
+  const std::size_t ny = g.dims[1], nx = g.dims[2];
+  const std::size_t rows = g.dims[0] * ny;
+  const double two_eb = 2.0 * eb;
+  const auto radius_i = static_cast<std::int64_t>(radius);
+
+  std::vector<std::size_t> row_start(rows + 1, 0);
+  ParallelOptions count_opts;
+  count_opts.max_threads = threads;
+  count_opts.grain = std::max<std::size_t>(1, (std::size_t{1} << 16) / nx);
+  parallel_for(
+      rows,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t r = b; r < e; ++r)
+          row_start[r + 1] = static_cast<std::size_t>(
+              std::count(codes + r * nx, codes + (r + 1) * nx, 0u));
+      },
+      count_opts);
+  for (std::size_t r = 0; r < rows; ++r) row_start[r + 1] += row_start[r];
+  if (row_start.back() > outliers.size())
+    throw StreamError("sz: outlier stream exhausted");
+  if (row_start.back() < outliers.size())
+    throw StreamError("sz: trailing outliers in stream");
+
+  const auto row_at = [&](std::size_t z, std::size_t y) {
+    return z * g.stride_z + y * g.stride_y;
+  };
+  const auto point = [&](std::size_t z, std::size_t y, std::size_t x,
+                         std::size_t& next) {
+    const std::size_t i = row_at(z, y) + x;
+    const std::uint32_t code = codes[i];
+    if (code == 0) {
+      recon[i] = outliers[next++];
+      return;
+    }
+    const double pred = kernels::lorenzo_predict(recon, 3, g.stride_y,
+                                                 g.stride_z, z, y, x, i);
+    recon[i] = kernels::dequantize_point<T>(
+        pred, two_eb, static_cast<std::int64_t>(code) - radius_i);
+  };
+  sweep_planes(
+      g, threads,
+      [&](std::size_t z, std::size_t y) {
+        std::size_t next = row_start[z * ny + y];
+        for (std::size_t x = 0; x < nx; ++x) point(z, y, x, next);
+      },
+      [&](std::size_t z, std::size_t y) {
+        std::size_t next[kWavefrontRows];
+        std::copy_n(row_start.begin() + static_cast<std::ptrdiff_t>(z * ny + y),
+                    kWavefrontRows, next);
+        kernels::lorenzo_recon_wavefront3<T, kWavefrontRows>(
+            codes, recon, outliers.data(), outliers.size(), next,
+            row_at(z, y), nx, g.stride_y, g.stride_z, two_eb, radius_i);
+      },
+      [&](std::size_t z, std::size_t y) {
+        std::size_t next = row_start[z * ny + y];
+        point(z, y, 0, next);
+        if (nx > 1)
+          kernels::lorenzo_recon_run<3>(codes, recon, outliers.data(),
+                                        outliers.size(), next,
+                                        row_at(z, y) + 1, nx - 1, g.stride_y,
+                                        g.stride_z, two_eb, radius_i);
+      });
+}
 
 /// Native-dispatch encode sweep for the pure-Lorenzo path. Rows are cut
 /// into constant-bound runs (whole row in kAbs mode, block-edge-aligned
@@ -309,11 +535,13 @@ constexpr int kWavefrontRows = 4;
 /// the checked per-point path. Every point evaluates the same expressions
 /// as the generic sweep, so codes and recon are bit-identical. Outlier
 /// VALUES are not pushed here — the caller gathers codes[i] == 0 positions
-/// afterwards, which preserves the raster emission order.
+/// afterwards, which preserves the raster emission order. kAbs 3-D fields
+/// go to encode_planes.
 template <typename T>
 void encode_sweep_tiled(std::span<const T> data, const Geometry& g, Mode mode,
                         double bound, const std::vector<std::int16_t>& exps,
-                        std::uint32_t radius, std::uint32_t* codes, T* recon) {
+                        std::uint32_t radius, std::uint32_t* codes, T* recon,
+                        std::size_t threads) {
   const int nd = g.dims.nd;
   const std::size_t nz = nd == 3 ? g.dims[0] : 1;
   const std::size_t ny = nd >= 2 ? g.dims[nd - 2] : 1;
@@ -322,52 +550,8 @@ void encode_sweep_tiled(std::span<const T> data, const Geometry& g, Mode mode,
   const double rad2 = (static_cast<double>(radius) - 0.5) * 2.0;
   const auto radius_i = static_cast<std::int64_t>(radius);
 
-  // kAbs 3-D fields take the wavefront specialization: W interior rows
-  // advance in a staggered front (lane l trails lane l-1 by one column), so
-  // W independent reconstructed-value recurrences are in flight instead of
-  // one latency chain. Each point still evaluates the exact per-point
-  // expressions in an order that respects every data dependency, so codes
-  // and recon are bit-identical to the row-at-a-time sweep.
-  if (nd == 3 && !pwr && nx >= kWavefrontRows) {
-    constexpr int W = kWavefrontRows;
-    const double eb = bound;
-    const double two_eb = 2.0 * eb;
-    const double threshold = rad2 * eb;
-    const auto point_row = [&](std::size_t z, std::size_t y) {
-      const std::size_t row = z * g.stride_z + y * g.stride_y;
-      for (std::size_t xs = 0; xs < nx; ++xs) {
-        const std::size_t i = row + xs;
-        const double pred = kernels::lorenzo_predict(
-            recon, nd, g.stride_y, g.stride_z, z, y, xs, i);
-        const auto qs = kernels::quantize_point<T>(data[i], pred, eb, two_eb,
-                                                   threshold, radius_i);
-        codes[i] = qs.code;
-        recon[i] = qs.recon;
-      }
-    };
-    for (std::size_t y = 0; y < ny; ++y) point_row(0, y);  // boundary plane
-    for (std::size_t z = 1; z < nz; ++z) {
-      point_row(z, 0);  // boundary row of the plane
-      std::size_t y = 1;
-      for (; y + W <= ny; y += W)
-        kernels::lorenzo_quant_wavefront3<T, W>(
-            data.data(), recon, codes, z * g.stride_z + y * g.stride_y, nx,
-            g.stride_y, g.stride_z, eb, two_eb, threshold, radius_i);
-      for (; y < ny; ++y) {  // remainder rows: x == 0 point + interior run
-        const std::size_t i0 = z * g.stride_z + y * g.stride_y;
-        const double pred = kernels::lorenzo_predict(
-            recon, nd, g.stride_y, g.stride_z, z, y, 0, i0);
-        const auto qs = kernels::quantize_point<T>(data[i0], pred, eb,
-                                                   two_eb, threshold,
-                                                   radius_i);
-        codes[i0] = qs.code;
-        recon[i0] = qs.recon;
-        if (nx > 1)
-          kernels::lorenzo_quant_run<3>(data.data(), recon, codes, i0 + 1,
-                                        nx - 1, g.stride_y, g.stride_z, eb,
-                                        two_eb, threshold, radius_i);
-      }
-    }
+  if (nd == 3 && !pwr) {
+    encode_planes<T>(data, g, bound, radius, codes, recon, threads);
     return;
   }
 
@@ -417,8 +601,9 @@ void encode_sweep_tiled(std::span<const T> data, const Geometry& g, Mode mode,
     }
 }
 
-/// Decode mirror of encode_sweep_tiled. Returns the number of outliers
-/// consumed (the caller checks the stream is fully drained).
+/// Decode mirror of encode_sweep_tiled for the fields decode_planes does
+/// not take (1-D, 2-D, PWR mode). Returns the number of outliers consumed
+/// (the caller checks the stream is fully drained).
 template <typename T>
 std::size_t decode_sweep_tiled(const std::uint32_t* codes, const Geometry& g,
                                Mode mode, double bound,
@@ -521,7 +706,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   obs::Span predict_span("predict", stats ? &stats->predict_s : nullptr);
   if (!hybrid && kernels::active() == kernels::Dispatch::kNative) {
     encode_sweep_tiled<T>(data, g, p.mode, p.bound, exps, radius,
-                          codes.data(), recon.data());
+                          codes.data(), recon.data(), p.threads);
     // The sweep only marks outliers; gather their values in the same raster
     // order the per-point path pushes them.
     for (std::size_t i = 0; i < codes.size(); ++i)
@@ -657,7 +842,9 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
     if (coeff_bytes.size() % sizeof(T) != 0)
       throw StreamError("sz: regression coefficient size mismatch");
     reg.coeffs.resize(coeff_bytes.size() / sizeof(T));
-    std::memcpy(reg.coeffs.data(), coeff_bytes.data(), coeff_bytes.size());
+    // An empty table (no regression blocks) has no data pointer to copy to.
+    if (!coeff_bytes.empty())
+      std::memcpy(reg.coeffs.data(), coeff_bytes.data(), coeff_bytes.size());
     reg.index(nd);
     // The choice bitmap decides how many coefficient tuples predict() will
     // dereference; a corrupt bitmap must not point past the stored table.
@@ -719,9 +906,15 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   std::size_t outlier_next = 0;
   if (!hybrid && blocked &&
       kernels::active() == kernels::Dispatch::kNative) {
-    outlier_next = decode_sweep_tiled<T>(decoded_codes.data(), g, mode, bound,
-                                         exps, radius, outliers,
-                                         recon.data());
+    if (nd == 3 && mode == Mode::kAbs) {
+      decode_planes<T>(decoded_codes.data(), g, bound, radius, outliers,
+                       recon.data(), threads);
+      outlier_next = outliers.size();
+    } else {
+      outlier_next = decode_sweep_tiled<T>(decoded_codes.data(), g, mode,
+                                           bound, exps, radius, outliers,
+                                           recon.data());
+    }
   } else {
   std::size_t idx = 0;
   for (std::size_t z = 0; z < nz; ++z)

@@ -52,6 +52,20 @@ cmake --build "$asan" --target test_chunk_cache test_archive test_chunked \
 "$asan/tests/test_chunked"
 "$asan/tests/test_slab"
 
+# Codec hot path under the same sanitizers with the native kernels forced
+# on: the fused SIMD inverse map (every body the host runs against the
+# scalar one), the plane-pipelined 3-D SZ sweeps at several thread counts
+# and from pool workers, the word-level sign RLE, and the corpus cases
+# that pin the decoders' rejections.
+echo "=== tier-1 [asan-ubsan]: codec hot path, native kernels ==="
+hot_path_tests="test_sz test_sz_pipeline test_rle test_thread_determinism
+  test_kernel_identity test_corpus_regression"
+# shellcheck disable=SC2086  # word splitting of the list is intended
+cmake --build "$asan" --target $hot_path_tests -j "$jobs"
+for t in $hot_path_tests; do
+  TRANSPWR_KERNELS=native "$asan/tests/$t"
+done
+
 # Serve loopback smoke under the same sanitizers: a real Server on
 # ephemeral loopback ports, concurrent TPRQ1 clients, every HTTP route,
 # malformed-frame handling, and the graceful drain — the whole
