@@ -58,6 +58,13 @@ std::vector<std::vector<std::uint8_t>> scheme_corpus(Scheme scheme,
     auto data = make_field<T>(s.family, dims.count(), seed);
     corpus.push_back(comp->compress(data, dims, params));
   }
+  if (scheme == Scheme::kSzAbs || scheme == Scheme::kSzT) {
+    // Several planes of a 3-D field, so mutations reach the
+    // plane-pipelined Lorenzo decode and its per-row outlier cursors.
+    const Dims dims(6, 9, 10);
+    auto data = make_field<T>(Family::kRandomSmooth, dims.count(), seed);
+    corpus.push_back(comp->compress(data, dims, params));
+  }
   if (scheme == Scheme::kZfpT || scheme == Scheme::kZfpP) {
     // Two ZFP block groups (65 x 64 blocks of 4096 per group), so
     // mutations reach the group directory and the group boundaries.
