@@ -117,6 +117,12 @@ void json_append_escaped(std::string& out, std::string_view s) {
   json_escape(out, s);
 }
 
+void json_append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  json_escape(out, s);
+  out += '"';
+}
+
 void json_append_double(std::string& out, double v) {
   append_double(out, v);
 }

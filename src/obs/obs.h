@@ -135,6 +135,8 @@ bool json_valid(std::string_view text);
 
 /// Append `s` to `out` with JSON string escaping (quotes not included).
 void json_append_escaped(std::string& out, std::string_view s);
+/// Append `s` to `out` as a quoted, escaped JSON string.
+void json_append_quoted(std::string& out, std::string_view s);
 
 /// Append `v` with enough digits to round-trip (%.17g).
 void json_append_double(std::string& out, double v);

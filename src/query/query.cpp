@@ -94,15 +94,10 @@ Predicate parse_predicate(std::string_view spec) {
 }
 
 Executor::Executor(store::ArchiveReader& reader, const std::string& dataset)
-    : reader_(&reader), ds_(&reader.dataset(dataset)) {
-  row_start_.reserve(ds_->chunks.size());
-  std::uint64_t at = 0;
-  for (const auto& c : ds_->chunks) {
-    row_start_.push_back(at);
-    at += c.rows;
-  }
-  row_elems_ = ds_->dims.count() / ds_->dims[0];
-}
+    : reader_(&reader),
+      ds_(&reader.dataset(dataset)),
+      plan_(&reader.plan(dataset)),
+      row_elems_(ds_->dims.count() / ds_->dims[0]) {}
 
 RowRange Executor::resolve(const RowRange& range) const {
   RowRange r = range;
@@ -113,14 +108,14 @@ RowRange Executor::resolve(const RowRange& range) const {
 }
 
 RowRange Executor::chunk_rows(std::size_t c) const {
-  return {row_start_[c], row_start_[c] + ds_->chunks[c].rows};
+  return {plan_->row_begin(c), plan_->row_begin(c + 1)};
 }
 
 void Executor::scan_chunk(std::size_t c, std::uint64_t row_begin,
                           std::uint64_t row_end, const Predicate* p,
                           Aggregate* agg, std::uint64_t* matching) {
-  const std::uint64_t lo = (row_begin - row_start_[c]) * row_elems_;
-  const std::uint64_t hi = (row_end - row_start_[c]) * row_elems_;
+  const std::uint64_t lo = (row_begin - plan_->row_begin(c)) * row_elems_;
+  const std::uint64_t hi = (row_end - plan_->row_begin(c)) * row_elems_;
   auto fold = [&](auto&& values) {
     for (std::uint64_t i = lo; i < hi; ++i) {
       const double v = static_cast<double>(values[i]);
@@ -275,7 +270,7 @@ Preview Executor::preview(std::uint64_t points, const RowRange& range) {
       ++out.chunks_decoded;
       obs::counter_add("query.chunks_decoded");
     }
-    const std::uint64_t at = (row - row_start_[c]) * row_elems_;
+    const std::uint64_t at = (row - plan_->row_begin(c)) * row_elems_;
     out.rows.push_back(row);
     out.values.push_back(ds_->dtype == DataType::kFloat32
                              ? static_cast<double>(f32[at])

@@ -138,7 +138,7 @@ class Executor {
 
   store::ArchiveReader* reader_;
   const store::DatasetInfo* ds_;
-  std::vector<std::uint64_t> row_start_;  ///< first row of each chunk
+  const slab::Plan* plan_;  ///< the reader's chunk row extents
   std::uint64_t row_elems_ = 1;
 };
 

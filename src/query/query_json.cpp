@@ -12,12 +12,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += std::to_string(v);
 }
 
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  obs::json_append_escaped(out, s);
-  out += '"';
-}
-
 /// Doubles that JSON cannot represent (the ±inf min/max sentinels of a
 /// range with no finite values, NaN) become null.
 void append_number(std::string& out, double v) {
@@ -30,12 +24,12 @@ void append_number(std::string& out, double v) {
 
 void append_head(std::string& out, const Executor& ex) {
   out += "{\"dataset\":";
-  append_quoted(out, ex.dataset().name);
+  obs::json_append_quoted(out, ex.dataset().name);
 }
 
 void append_predicate(std::string& out, const Predicate& p) {
   out += ",\"cmp\":";
-  append_quoted(out, cmp_name(p.cmp));
+  obs::json_append_quoted(out, cmp_name(p.cmp));
   out += ",\"threshold\":";
   obs::json_append_double(out, p.threshold);
 }

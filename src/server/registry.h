@@ -52,8 +52,8 @@ class ArchiveRegistry {
 
   /// Shared reader for `name`, opening (or re-opening) it on demand.
   /// Throws ParamError on a malformed name (path separators, "..",
-  /// empty) and StreamError when the file is missing or not a valid
-  /// archive.
+  /// empty), NotFoundError when the file is missing or not a regular
+  /// file, and StreamError when it is not a valid archive.
   std::shared_ptr<store::ArchiveReader> open(const std::string& name);
 
   /// Drop every cached handle (tests; also invoked on shutdown so mmaps

@@ -1,15 +1,17 @@
 #include "server/server.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include <cmath>
 
 #include "common/bytestream.h"
-#include "common/decode_guard.h"
 #include "common/env.h"
 #include "common/parallel.h"
 #include "net/frame_io.h"
@@ -25,61 +27,168 @@ namespace {
 constexpr int kDefaultIdleTimeoutMs = 30000;
 constexpr std::size_t kMaxPingEcho = 64;
 
-/// Span path for one binary op — string literals so a disabled span stays
-/// allocation-free.
-const char* op_span(std::uint16_t op) {
-  switch (static_cast<net::Op>(op)) {
-    case net::Op::kPing: return "server.op_ping";
-    case net::Op::kList: return "server.op_list";
-    case net::Op::kStat: return "server.op_stat";
-    case net::Op::kLoad: return "server.op_load";
-    case net::Op::kReadRows: return "server.op_read_rows";
-    case net::Op::kChunkBytes: return "server.op_chunk_bytes";
-    case net::Op::kVerify: return "server.op_verify";
-    case net::Op::kShutdown: return "server.op_shutdown";
-    case net::Op::kQuery: return "server.op_query";
+// --- request core ------------------------------------------------------------
+// The typed ops both codecs answer through; `list` and `stat` are the
+// registry's own list() and open(). Every refusal on either protocol is
+// built by refuse(), the one place `server.errors` is counted.
+
+/// A class of refusal: the TPRQ1 error code and the HTTP status (with its
+/// reason phrase) it is answered with.
+struct ErrClass {
+  net::ErrCode code;
+  int status;
+  const char* reason;
+};
+
+namespace errclass {
+constexpr ErrClass kBadRequest{net::ErrCode::kBadRequest, 400, "Bad Request"};
+constexpr ErrClass kHeadTooLarge{net::ErrCode::kBadRequest, 431,
+                                 "Request Header Fields Too Large"};
+constexpr ErrClass kBadOp{net::ErrCode::kBadOp, 405, "Method Not Allowed"};
+constexpr ErrClass kNotFound{net::ErrCode::kNotFound, 404, "Not Found"};
+constexpr ErrClass kBadState{net::ErrCode::kBadState, 502, "Bad Gateway"};
+constexpr ErrClass kInternal{net::ErrCode::kInternal, 500,
+                             "Internal Server Error"};
+constexpr ErrClass kDraining{net::ErrCode::kShuttingDown, 503,
+                             "Service Unavailable"};
+}  // namespace errclass
+
+struct Refusal {
+  ErrClass cls;
+  std::string message;
+};
+
+/// Refuse one request; counts it in `server.errors`.
+Refusal refuse(const ErrClass& cls, std::string message) {
+  obs::counter_add("server.errors");
+  return {cls, std::move(message)};
+}
+
+/// The one exception -> error class mapping. Call from inside a catch
+/// block; anything not derived from std::exception propagates.
+Refusal refuse_current() {
+  try {
+    throw;
+  } catch (const NotFoundError& e) {
+    return refuse(errclass::kNotFound, e.what());
+  } catch (const ParamError& e) {
+    return refuse(errclass::kBadRequest, e.what());
+  } catch (const StreamError& e) {
+    return refuse(errclass::kBadState, e.what());
+  } catch (const std::exception& e) {
+    return refuse(errclass::kInternal, e.what());
   }
-  return "server.op_unknown";
 }
 
-void require_drained(ByteReader& in, const char* op) {
-  if (in.remaining() != 0)
-    throw ParamError(std::string("serve: trailing bytes in ") + op +
-                     " request body");
+/// The archive and dataset a request names, resolved once: registry open,
+/// then the dataset lookup. Holds the reader for the whole request, so a
+/// concurrent re-open of a rewritten file cannot pull it away.
+struct Target {
+  std::shared_ptr<store::ArchiveReader> reader;
+  const store::DatasetInfo* ds = nullptr;
+};
+
+Target resolve(ArchiveRegistry& registry, const std::string& archive,
+               const std::string& dataset) {
+  Target t{registry.open(archive)};
+  for (const auto& ds : t.reader->datasets())
+    if (ds.name == dataset) {
+      t.ds = &ds;
+      return t;
+    }
+  // Not ArchiveReader::dataset: its ParamError would read as a bad
+  // request, but the name was well-formed — the dataset just isn't there.
+  throw NotFoundError("serve: no such dataset: " + dataset);
 }
 
-/// Dataset directory entry, or kErrNotFound. ArchiveReader::dataset throws
-/// ParamError for an unknown name, which the protocol would misreport as
-/// kBadRequest — the name was well-formed, the dataset just isn't there.
-const store::DatasetInfo& find_dataset(const store::ArchiveReader& reader,
-                                       const std::string& name) {
-  for (const auto& ds : reader.datasets())
-    if (ds.name == name) return ds;
-  throw NotFoundError("serve: no such dataset: " + name);
-}
+/// Decoded rows, in the dataset's element type, and a byte view of them.
+struct Rows {
+  DataType dtype = DataType::kFloat32;
+  Dims dims;
+  std::vector<float> f32;
+  std::vector<double> f64;
 
-/// kLoad / kReadRows response body: u8 dtype, u8 nd, 3 x u64 dims,
-/// u64-sized raw little-endian element bytes.
-template <typename T>
-std::vector<std::uint8_t> encode_payload(const Dims& dims,
-                                         const std::vector<T>& data) {
-  ByteWriter out;
-  out.put<std::uint8_t>(static_cast<std::uint8_t>(data_type_of<T>()));
-  out.put<std::uint8_t>(static_cast<std::uint8_t>(dims.nd));
-  for (int i = 0; i < 3; ++i)
-    out.put<std::uint64_t>(dims.d[static_cast<std::size_t>(i)]);
-  out.put_sized(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(data.data()),
-      data.size() * sizeof(T)));
-  return out.take();
-}
+  std::span<const std::uint8_t> bytes() const {
+    if (dtype == DataType::kFloat32)
+      return {reinterpret_cast<const std::uint8_t*>(f32.data()),
+              f32.size() * sizeof(float)};
+    return {reinterpret_cast<const std::uint8_t*>(f64.data()),
+            f64.size() * sizeof(double)};
+  }
+};
 
-std::string json_quoted(std::string_view s) {
-  std::string out;
-  out += '"';
-  obs::json_append_escaped(out, s);
-  out += '"';
+/// Rows `range` of the target, or the whole dataset (kLoad, through
+/// ArchiveReader::load so its `archive.load` span stays) when `range` is
+/// empty. The one float/double dispatch for row payloads.
+Rows read_rows(const Target& t, std::optional<query::RowRange> range,
+               std::size_t threads) {
+  Rows out;
+  auto read = [&](auto& data) {
+    using T = typename std::decay_t<decltype(data)>::value_type;
+    out.dtype = data_type_of<T>();
+    data = range ? t.reader->read_rows<T>(
+                       t.ds->name, static_cast<std::size_t>(range->begin),
+                       static_cast<std::size_t>(range->end), &out.dims,
+                       threads)
+                 : t.reader->load<T>(t.ds->name, &out.dims, threads);
+  };
+  if (t.ds->dtype == DataType::kFloat32)
+    read(out.f32);
+  else
+    read(out.f64);
   return out;
+}
+
+/// One chunk's raw compressed stream; NotFound past the last chunk.
+std::vector<std::uint8_t> chunk_bytes(const Target& t, std::uint64_t chunk) {
+  if (chunk >= t.ds->chunks.size())
+    throw NotFoundError("serve: chunk " + std::to_string(chunk) +
+                        " out of range for " + t.ds->name);
+  return t.reader->read_chunk_bytes(t.ds->name,
+                                    static_cast<std::size_t>(chunk));
+}
+
+/// Eager checksum scan of one archive: {datasets, chunks, payload bytes}.
+std::array<std::uint64_t, 3> verify(ArchiveRegistry& registry,
+                                    const std::string& archive) {
+  auto reader = registry.open(archive);
+  reader->verify();
+  std::array<std::uint64_t, 3> totals{reader->datasets().size(), 0, 0};
+  for (const auto& ds : reader->datasets()) {
+    totals[1] += ds.chunks.size();
+    totals[2] += ds.compressed_bytes();
+  }
+  return totals;
+}
+
+// --- TPRQ1 codec helpers -----------------------------------------------------
+
+/// Span path for one binary op, indexed by op number — string literals so
+/// a disabled span stays allocation-free.
+const char* op_span(std::uint16_t op) {
+  static constexpr const char* kSpans[] = {
+      "server.op_unknown",     "server.op_ping",   "server.op_list",
+      "server.op_stat",        "server.op_load",   "server.op_read_rows",
+      "server.op_chunk_bytes", "server.op_verify", "server.op_shutdown",
+      "server.op_query"};
+  return net::known_op(op) ? kSpans[op] : kSpans[0];
+}
+
+/// u8 nd + 3 x u64 dims, as in kStat entries and row payloads.
+void put_shape(ByteWriter& out, const Dims& dims) {
+  out.put<std::uint8_t>(static_cast<std::uint8_t>(dims.nd));
+  for (std::uint64_t d : dims.d) out.put(d);
+}
+
+std::vector<std::uint8_t> tprq_refusal(std::uint16_t op, std::uint32_t seq,
+                                       const Refusal& r) {
+  return net::encode_error(op, seq, r.cls.code, r.message);
+}
+
+void require_drained(ByteReader& in, net::Op op) {
+  if (in.remaining() != 0)
+    throw ParamError(std::string("serve: trailing bytes in ") +
+                     net::op_name(op) + " request body");
 }
 
 /// Validate the wire form of a query predicate (u8 cmp + f64 threshold).
@@ -92,9 +201,17 @@ query::Predicate wire_predicate(std::uint8_t cmp, double threshold) {
   return {static_cast<query::Cmp>(cmp), threshold};
 }
 
+// --- HTTP codec helpers ------------------------------------------------------
+
+std::string http_refusal(const Refusal& r) {
+  std::vector<std::pair<std::string, std::string>> extra;
+  if (r.cls.status == 405) extra.emplace_back("Allow", "GET, HEAD");
+  return net::http_response(r.cls.status, r.cls.reason, "text/plain",
+                            r.message + "\n", extra);
+}
+
 /// "B:E" -> [B, E). Throws ParamError on anything else.
-std::pair<std::uint64_t, std::uint64_t> parse_row_range(
-    const std::string& text) {
+query::RowRange parse_row_range(const std::string& text) {
   std::size_t colon = text.find(':');
   if (colon == std::string::npos)
     throw ParamError("serve: range must be BEGIN:END");
@@ -230,6 +347,9 @@ void Server::accept_loop(net::Listener& listener, bool http) {
   }
 }
 
+
+// --- TPRQ1 codec -------------------------------------------------------------
+
 void Server::handle_tprq_connection(net::Socket sock) {
   while (true) {
     net::Frame req;
@@ -242,11 +362,9 @@ void Server::handle_tprq_connection(net::Socket sock) {
     } catch (const StreamError& e) {
       // The peer sent bytes that do not frame; the stream can no longer
       // be delimited, so answer best-effort and drop the connection.
-      obs::counter_add("server.errors");
+      const Refusal r = refuse(errclass::kBadRequest, e.what());
       try {
-        net::write_frame(sock, net::encode_error(0, 0,
-                                                 net::ErrCode::kBadRequest,
-                                                 e.what()));
+        net::write_frame(sock, tprq_refusal(0, 0, r));
       } catch (...) {
       }
       break;
@@ -254,14 +372,7 @@ void Server::handle_tprq_connection(net::Socket sock) {
     obs::counter_add("server.requests");
     obs::counter_add("server.bytes_in",
                      net::kLenPrefix + net::kFrameOverhead + req.body.size());
-    std::vector<std::uint8_t> resp;
-    if (stopping() &&
-        req.op != static_cast<std::uint16_t>(net::Op::kShutdown)) {
-      resp = net::encode_error(req.op, req.seq, net::ErrCode::kShuttingDown,
-                               "server is draining");
-    } else {
-      resp = dispatch(req);
-    }
+    std::vector<std::uint8_t> resp = answer_tprq(req);
     obs::counter_add("server.bytes_out", resp.size());
     try {
       net::write_frame(sock, resp);
@@ -273,220 +384,163 @@ void Server::handle_tprq_connection(net::Socket sock) {
   sock.close();
 }
 
-std::vector<std::uint8_t> Server::dispatch(const net::Frame& req) {
+std::vector<std::uint8_t> Server::answer_tprq(const net::Frame& req) {
+  if (stopping() &&
+      req.op != static_cast<std::uint16_t>(net::Op::kShutdown))
+    return tprq_refusal(req.op, req.seq,
+                        refuse(errclass::kDraining, "server is draining"));
   obs::Span span(op_span(req.op));
-  try {
-    return handle_op(req);
-  } catch (const NotFoundError& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kNotFound,
-                             e.what());
-  } catch (const ParamError& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kBadRequest,
-                             e.what());
-  } catch (const StreamError& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kBadState,
-                             e.what());
-  } catch (const std::exception& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kInternal,
-                             e.what());
-  }
-}
-
-std::vector<std::uint8_t> Server::handle_op(const net::Frame& req) {
   if (!net::known_op(req.op))
-    return net::encode_error(req.op, req.seq, net::ErrCode::kBadOp,
-                             "unknown op " + std::to_string(req.op));
+    return tprq_refusal(
+        req.op, req.seq,
+        refuse(errclass::kBadOp, "unknown op " + std::to_string(req.op)));
+  const auto op = static_cast<net::Op>(req.op);
   ByteReader in(req.body);
   ByteWriter out;
-  switch (static_cast<net::Op>(req.op)) {
-    case net::Op::kPing: {
-      if (req.body.size() > kMaxPingEcho)
-        throw ParamError("serve: ping echo payload too large");
-      out.put_bytes(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(net::kMagic),
-          sizeof net::kMagic));
-      out.put_bytes(req.body);
-      break;
-    }
-    case net::Op::kList: {
-      require_drained(in, "list");
-      auto names = registry_.list();
-      out.put<std::uint32_t>(static_cast<std::uint32_t>(names.size()));
-      for (const auto& n : names) net::put_string(out, n);
-      break;
-    }
-    case net::Op::kStat: {
-      auto archive = net::get_string(in);
-      require_drained(in, "stat");
-      auto reader = registry_.open(archive);
-      const auto& dir = reader->datasets();
-      out.put<std::uint32_t>(static_cast<std::uint32_t>(dir.size()));
-      for (const auto& ds : dir) {
-        net::put_string(out, ds.name);
-        out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.dtype));
-        out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.scheme));
-        out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.dims.nd));
-        for (int i = 0; i < 3; ++i)
-          out.put<std::uint64_t>(ds.dims.d[static_cast<std::size_t>(i)]);
-        out.put<double>(ds.bound);
-        out.put<double>(ds.log_base);
-        out.put<std::uint64_t>(ds.chunks.size());
-        out.put<std::uint64_t>(ds.compressed_bytes());
+  try {
+    switch (op) {
+      case net::Op::kPing: {
+        if (req.body.size() > kMaxPingEcho)
+          throw ParamError("serve: ping echo payload too large");
+        out.put_bytes(std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(net::kMagic),
+            sizeof net::kMagic));
+        out.put_bytes(req.body);
+        break;
       }
-      break;
-    }
-    case net::Op::kLoad: {
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      require_drained(in, "load");
-      auto reader = registry_.open(archive);
-      const auto& ds = find_dataset(*reader, dataset);
-      Dims dims;
-      if (ds.dtype == DataType::kFloat32) {
-        auto data = reader->load<float>(dataset, &dims, opts_.decode_threads);
-        return net::encode_frame(req.op, 0, req.seq,
-                                 encode_payload(dims, data));
+      case net::Op::kList: {
+        require_drained(in, op);
+        auto names = registry_.list();
+        out.put<std::uint32_t>(static_cast<std::uint32_t>(names.size()));
+        for (const auto& n : names) net::put_string(out, n);
+        break;
       }
-      auto data = reader->load<double>(dataset, &dims, opts_.decode_threads);
-      return net::encode_frame(req.op, 0, req.seq,
-                               encode_payload(dims, data));
-    }
-    case net::Op::kReadRows: {
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      auto row_begin = in.get<std::uint64_t>();
-      auto row_end = in.get<std::uint64_t>();
-      require_drained(in, "read_rows");
-      auto reader = registry_.open(archive);
-      const auto& ds = find_dataset(*reader, dataset);
-      Dims dims;
-      if (ds.dtype == DataType::kFloat32) {
-        auto data = reader->read_rows<float>(
-            dataset, static_cast<std::size_t>(row_begin),
-            static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-        return net::encode_frame(req.op, 0, req.seq,
-                                 encode_payload(dims, data));
+      case net::Op::kStat: {
+        auto archive = net::get_string(in);
+        require_drained(in, op);
+        auto reader = registry_.open(archive);
+        const auto& dir = reader->datasets();
+        out.put<std::uint32_t>(static_cast<std::uint32_t>(dir.size()));
+        for (const auto& ds : dir) {
+          net::put_string(out, ds.name);
+          out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.dtype));
+          out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.scheme));
+          put_shape(out, ds.dims);
+          for (double v : {ds.bound, ds.log_base}) out.put(v);
+          for (std::uint64_t v : {std::uint64_t{ds.chunks.size()},
+                                  ds.compressed_bytes()})
+            out.put(v);
+        }
+        break;
       }
-      auto data = reader->read_rows<double>(
-          dataset, static_cast<std::size_t>(row_begin),
-          static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-      return net::encode_frame(req.op, 0, req.seq,
-                               encode_payload(dims, data));
-    }
-    case net::Op::kChunkBytes: {
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      auto chunk = in.get<std::uint64_t>();
-      require_drained(in, "chunk_bytes");
-      auto reader = registry_.open(archive);
-      const auto& ds = find_dataset(*reader, dataset);
-      if (chunk >= ds.chunks.size())
-        throw NotFoundError("serve: chunk " + std::to_string(chunk) +
-                            " out of range for " + dataset);
-      auto bytes = reader->read_chunk_bytes(
-          dataset, static_cast<std::size_t>(chunk));
-      out.put_sized(bytes);
-      break;
-    }
-    case net::Op::kVerify: {
-      auto archive = net::get_string(in);
-      require_drained(in, "verify");
-      auto reader = registry_.open(archive);
-      reader->verify();
-      std::uint64_t chunks = 0, payload = 0;
-      for (const auto& ds : reader->datasets()) {
-        chunks += ds.chunks.size();
-        payload += ds.compressed_bytes();
+      case net::Op::kLoad:
+      case net::Op::kReadRows: {
+        // Payload: u8 dtype, u8 nd, 3 x u64 dims, u64-sized raw
+        // little-endian element bytes.
+        auto archive = net::get_string(in);
+        auto dataset = net::get_string(in);
+        std::optional<query::RowRange> range;
+        if (op == net::Op::kReadRows)  // braces read begin, then end
+          range = query::RowRange{in.get<std::uint64_t>(),
+                                  in.get<std::uint64_t>()};
+        require_drained(in, op);
+        const Rows rows = read_rows(resolve(registry_, archive, dataset),
+                                    range, opts_.decode_threads);
+        out.put<std::uint8_t>(static_cast<std::uint8_t>(rows.dtype));
+        put_shape(out, rows.dims);
+        out.put_sized(rows.bytes());
+        break;
       }
-      out.put<std::uint64_t>(reader->datasets().size());
-      out.put<std::uint64_t>(chunks);
-      out.put<std::uint64_t>(payload);
-      break;
-    }
-    case net::Op::kQuery: {
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      auto kind_byte = in.get<std::uint8_t>();
-      auto cmp_byte = in.get<std::uint8_t>();
-      auto threshold = in.get<double>();
-      auto row_begin = in.get<std::uint64_t>();
-      auto row_end = in.get<std::uint64_t>();
-      auto points = in.get<std::uint64_t>();
-      require_drained(in, "query");
-      if (kind_byte < static_cast<std::uint8_t>(net::QueryKind::kChunks) ||
-          kind_byte > static_cast<std::uint8_t>(net::QueryKind::kPreview))
-        throw ParamError("serve: bad query kind byte");
-      auto reader = registry_.open(archive);
-      find_dataset(*reader, dataset);  // NotFound, not Executor's ParamError
-      query::Executor ex(*reader, dataset);
-      const query::RowRange range{row_begin, row_end};
-      switch (static_cast<net::QueryKind>(kind_byte)) {
-        case net::QueryKind::kChunks: {
-          auto r = ex.find_chunks(wire_predicate(cmp_byte, threshold));
-          out.put<std::uint64_t>(r.chunks_total);
-          out.put<std::uint64_t>(r.chunks_pruned);
-          out.put<std::uint64_t>(r.chunks_decoded);
-          out.put<std::uint32_t>(static_cast<std::uint32_t>(
-              r.matches.size()));
-          for (const auto& m : r.matches) {
-            out.put<std::uint64_t>(m.chunk);
-            out.put<std::uint64_t>(m.row_begin);
-            out.put<std::uint64_t>(m.row_end);
+      case net::Op::kChunkBytes: {
+        auto archive = net::get_string(in);
+        auto dataset = net::get_string(in);
+        auto chunk = in.get<std::uint64_t>();
+        require_drained(in, op);
+        out.put_sized(
+            chunk_bytes(resolve(registry_, archive, dataset), chunk));
+        break;
+      }
+      case net::Op::kVerify: {
+        auto archive = net::get_string(in);
+        require_drained(in, op);
+        for (std::uint64_t v : verify(registry_, archive)) out.put(v);
+        break;
+      }
+      case net::Op::kQuery: {
+        auto archive = net::get_string(in);
+        auto dataset = net::get_string(in);
+        auto kind_byte = in.get<std::uint8_t>();
+        auto cmp_byte = in.get<std::uint8_t>();
+        auto threshold = in.get<double>();
+        auto row_begin = in.get<std::uint64_t>();
+        auto row_end = in.get<std::uint64_t>();
+        auto points = in.get<std::uint64_t>();
+        require_drained(in, op);
+        if (kind_byte < static_cast<std::uint8_t>(net::QueryKind::kChunks) ||
+            kind_byte > static_cast<std::uint8_t>(net::QueryKind::kPreview))
+          throw ParamError("serve: bad query kind byte");
+        const Target t = resolve(registry_, archive, dataset);
+        query::Executor ex(*t.reader, t.ds->name);
+        const query::RowRange range{row_begin, row_end};
+        switch (static_cast<net::QueryKind>(kind_byte)) {
+          case net::QueryKind::kChunks: {
+            auto r = ex.find_chunks(wire_predicate(cmp_byte, threshold));
+            for (std::uint64_t v :
+                 {r.chunks_total, r.chunks_pruned, r.chunks_decoded})
+              out.put(v);
+            out.put<std::uint32_t>(
+                static_cast<std::uint32_t>(r.matches.size()));
+            for (const auto& m : r.matches)
+              for (std::uint64_t v : {m.chunk, m.row_begin, m.row_end})
+                out.put(v);
+            break;
           }
-          break;
-        }
-        case net::QueryKind::kAgg: {
-          auto a = ex.aggregate(range);
-          out.put<double>(a.min);
-          out.put<double>(a.max);
-          out.put<double>(a.sum);
-          out.put<std::uint64_t>(a.count);
-          out.put<std::uint64_t>(a.finite);
-          out.put<std::uint64_t>(a.nan);
-          out.put<std::uint64_t>(a.pos_inf);
-          out.put<std::uint64_t>(a.neg_inf);
-          out.put<std::uint64_t>(a.chunks_pruned);
-          out.put<std::uint64_t>(a.chunks_decoded);
-          break;
-        }
-        case net::QueryKind::kCount: {
-          auto r = ex.count_where(wire_predicate(cmp_byte, threshold), range);
-          out.put<std::uint64_t>(r.matching);
-          out.put<std::uint64_t>(r.total);
-          out.put<std::uint64_t>(r.chunks_pruned);
-          out.put<std::uint64_t>(r.chunks_decoded);
-          break;
-        }
-        case net::QueryKind::kPreview: {
-          auto pv = ex.preview(points, range);
-          out.put<std::uint64_t>(pv.stride);
-          out.put<std::uint64_t>(pv.chunks_decoded);
-          out.put<std::uint32_t>(static_cast<std::uint32_t>(
-              pv.rows.size()));
-          for (std::size_t i = 0; i < pv.rows.size(); ++i) {
-            out.put<std::uint64_t>(pv.rows[i]);
-            out.put<double>(pv.values[i]);
+          case net::QueryKind::kAgg: {
+            auto a = ex.aggregate(range);
+            for (double v : {a.min, a.max, a.sum}) out.put(v);
+            for (std::uint64_t v : {a.count, a.finite, a.nan, a.pos_inf,
+                                    a.neg_inf, a.chunks_pruned,
+                                    a.chunks_decoded})
+              out.put(v);
+            break;
           }
-          break;
+          case net::QueryKind::kCount: {
+            auto r =
+                ex.count_where(wire_predicate(cmp_byte, threshold), range);
+            for (std::uint64_t v :
+                 {r.matching, r.total, r.chunks_pruned, r.chunks_decoded})
+              out.put(v);
+            break;
+          }
+          case net::QueryKind::kPreview: {
+            auto pv = ex.preview(points, range);
+            for (std::uint64_t v : {pv.stride, pv.chunks_decoded}) out.put(v);
+            out.put<std::uint32_t>(
+                static_cast<std::uint32_t>(pv.rows.size()));
+            for (std::size_t i = 0; i < pv.rows.size(); ++i) {
+              out.put<std::uint64_t>(pv.rows[i]);
+              out.put<double>(pv.values[i]);
+            }
+            break;
+          }
         }
+        break;
       }
-      break;
+      case net::Op::kShutdown: {
+        require_drained(in, op);
+        // Acknowledge first (the caller's write happens after we return),
+        // then begin the drain; the connection loop exits after sending.
+        request_stop();
+        break;
+      }
     }
-    case net::Op::kShutdown: {
-      require_drained(in, "shutdown");
-      // Acknowledge first (the caller's write happens after we return),
-      // then begin the drain; the connection loop exits after sending.
-      request_stop();
-      break;
-    }
+  } catch (...) {
+    return tprq_refusal(req.op, req.seq, refuse_current());
   }
-  auto body = out.take();
-  return net::encode_frame(req.op, 0, req.seq, body);
+  return net::encode_frame(req.op, 0, req.seq, out.take());
 }
+
+// --- HTTP codec --------------------------------------------------------------
 
 void Server::handle_http_connection(net::Socket sock) {
   // One request per connection: accumulate the head (request line +
@@ -506,21 +560,15 @@ void Server::handle_http_connection(net::Socket sock) {
     }
     if (n == 0) return;  // peer hung up before completing a request
     head.append(reinterpret_cast<const char*>(buf), n);
-    std::size_t crlf = head.find("\r\n\r\n");
-    std::size_t lflf = head.find("\n\n");
-    if (crlf != std::string::npos && (lflf == std::string::npos ||
-                                      crlf < lflf)) {
-      end = crlf;
-      term = 4;
-    } else if (lflf != std::string::npos) {
-      end = lflf;
-      term = 2;
+    // The head ends at whichever blank line comes first.
+    const std::size_t crlf = head.find("\r\n\r\n");
+    end = std::min(crlf, head.find("\n\n"));
+    if (end != std::string::npos) {
+      term = end == crlf ? 4 : 2;
     } else if (head.size() > cap) {
       try {
-        sock.send_all(net::http_response(431, "Request Header Fields Too "
-                                              "Large",
-                                         "text/plain",
-                                         "request head too large\n"));
+        sock.send_all(http_refusal(
+            refuse(errclass::kHeadTooLarge, "request head too large")));
       } catch (...) {
       }
       return;
@@ -529,21 +577,23 @@ void Server::handle_http_connection(net::Socket sock) {
   obs::counter_add("server.http_requests");
   obs::Span span("server.http");
   std::string resp;
+  bool is_head = false;
   try {
     auto req = net::parse_http_request(
         std::string_view(head).substr(0, end + term));
-    if (stopping()) {
-      obs::counter_add("server.errors");
-      resp = net::http_response(503, "Service Unavailable", "text/plain",
-                                "server is draining\n");
-    } else {
-      resp = route_http(req);
-    }
+    is_head = req.method == "HEAD";
+    if (stopping())
+      resp = http_refusal(refuse(errclass::kDraining, "server is draining"));
+    else if (req.method != "GET" && !is_head)
+      resp = http_refusal(refuse(errclass::kBadOp, "GET and HEAD only"));
+    else
+      resp = answer_get(req);
   } catch (const Error& e) {
-    obs::counter_add("server.errors");
-    resp = net::http_response(400, "Bad Request", "text/plain",
-                              std::string(e.what()) + "\n");
+    resp = http_refusal(refuse(errclass::kBadRequest, e.what()));
   }
+  // A HEAD answer is the same head, Content-Length included (RFC 7231),
+  // with no body — whatever the status.
+  if (is_head) resp.resize(resp.find("\r\n\r\n") + 4);
   try {
     sock.send_all(resp);
   } catch (const Error&) {
@@ -551,53 +601,42 @@ void Server::handle_http_connection(net::Socket sock) {
   sock.close();
 }
 
-std::string Server::route_http(const net::HttpRequest& req) {
-  const bool is_head = req.method == "HEAD";
-  if (req.method != "GET" && !is_head)
-    return net::http_response(405, "Method Not Allowed", "text/plain",
-                              "GET and HEAD only\n",
-                              {{"Allow", "GET, HEAD"}});
+std::string Server::answer_get(const net::HttpRequest& req) {
   std::string body;
   std::string content_type = "application/json";
-  std::vector<std::pair<std::string, std::string>> extra;
   try {
-    auto segs = path_segments(req.path);
+    const auto segs = path_segments(req.path);
+    auto dataset_route = [&](const char* leaf) {
+      return segs.size() == 5 && segs[0] == "archives" &&
+             segs[2] == "datasets" && segs[4] == leaf;
+    };
     if (req.path == "/healthz") {
-      body = "ok\n";
+      body = "ok";
       content_type = "text/plain";
     } else if (req.path == "/statsz") {
       body = obs::to_json(obs::snapshot(),
                           {{"endpoint", "statsz"},
                            {"dir", registry_.dir()}});
-      body += '\n';
     } else if (req.path == "/archives") {
       body = "{\"archives\":[";
-      bool first = true;
       for (const auto& name : registry_.list()) {
-        if (!first) body += ',';
-        first = false;
-        body += json_quoted(name);
+        if (body.back() != '[') body += ',';
+        obs::json_append_quoted(body, name);
       }
-      body += "]}\n";
+      body += "]}";
     } else if (segs.size() == 3 && segs[0] == "archives" &&
                segs[2] == "datasets") {
-      auto reader = registry_.open(segs[1]);
-      body = store::archive_ls_json(segs[1], *reader);
-      body += '\n';
-    } else if (segs.size() == 5 && segs[0] == "archives" &&
-               segs[2] == "datasets" && segs[4] == "query") {
+      body = store::archive_ls_json(segs[1], *registry_.open(segs[1]));
+    } else if (dataset_route("query")) {
       auto op = net::query_param(req.query, "op");
       if (!op)
         throw ParamError("serve: query requires ?op=chunks|agg|count|"
                          "preview");
-      auto reader = registry_.open(segs[1]);
-      find_dataset(*reader, segs[3]);
-      query::Executor ex(*reader, segs[3]);
+      const Target t = resolve(registry_, segs[1], segs[3]);
+      query::Executor ex(*t.reader, t.ds->name);
       query::RowRange range = ex.full_range();
-      if (auto rows = net::query_param(req.query, "rows")) {
-        auto [b, e] = parse_row_range(*rows);
-        range = {b, e};
-      }
+      if (auto rows = net::query_param(req.query, "rows"))
+        range = parse_row_range(*rows);
       auto predicate = [&]() -> query::Predicate {
         auto where = net::query_param(req.query, "where");
         if (!where)
@@ -625,88 +664,45 @@ std::string Server::route_http(const net::HttpRequest& req) {
       } else {
         throw ParamError("serve: unknown query op: " + *op);
       }
-      body += '\n';
-    } else if (segs.size() == 5 && segs[0] == "archives" &&
-               segs[2] == "datasets" && segs[4] == "rows") {
-      auto range = net::query_param(req.query, "range");
-      if (!range) throw ParamError("serve: rows requires ?range=BEGIN:END");
-      auto [row_begin, row_end] = parse_row_range(*range);
+    } else if (dataset_route("rows")) {
+      auto range_text = net::query_param(req.query, "range");
+      if (!range_text)
+        throw ParamError("serve: rows requires ?range=BEGIN:END");
+      const query::RowRange range = parse_row_range(*range_text);
       auto encoding =
           net::query_param(req.query, "encoding").value_or("base64");
       if (encoding != "base64" && encoding != "raw")
         throw ParamError("serve: encoding must be base64 or raw");
-      auto reader = registry_.open(segs[1]);
-      const auto& ds = find_dataset(*reader, segs[3]);
-      Dims dims;
-      std::vector<std::uint8_t> bytes;
-      if (ds.dtype == DataType::kFloat32) {
-        auto data = reader->read_rows<float>(
-            segs[3], static_cast<std::size_t>(row_begin),
-            static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-        bytes.assign(reinterpret_cast<const std::uint8_t*>(data.data()),
-                     reinterpret_cast<const std::uint8_t*>(data.data() +
-                                                           data.size()));
-      } else {
-        auto data = reader->read_rows<double>(
-            segs[3], static_cast<std::size_t>(row_begin),
-            static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-        bytes.assign(reinterpret_cast<const std::uint8_t*>(data.data()),
-                     reinterpret_cast<const std::uint8_t*>(data.data() +
-                                                           data.size()));
-      }
-      const char* dtype = ds.dtype == DataType::kFloat32 ? "f32" : "f64";
-      if (encoding == "raw") {
-        content_type = "application/octet-stream";
-        extra.emplace_back("X-Transpwr-Dtype", dtype);
-        extra.emplace_back("X-Transpwr-Dims", dims.to_string());
-        body.assign(bytes.begin(), bytes.end());
-      } else {
-        body = "{\"archive\":";
-        body += json_quoted(segs[1]);
-        body += ",\"dataset\":";
-        body += json_quoted(segs[3]);
-        body += ",\"rows\":[";
-        body += std::to_string(row_begin);
-        body += ',';
-        body += std::to_string(row_end);
-        body += "],\"dtype\":\"";
-        body += dtype;
-        body += "\",\"dims\":[";
-        for (int i = 0; i < dims.nd; ++i) {
-          if (i) body += ',';
-          body += std::to_string(dims[i]);
-        }
-        body += "],\"encoding\":\"base64\",\"data\":\"";
-        body += net::base64_encode(bytes);
-        body += "\"}\n";
-      }
+      const Rows rows = read_rows(resolve(registry_, segs[1], segs[3]),
+                                  range, opts_.decode_threads);
+      const auto bytes = rows.bytes();
+      const char* dtype = rows.dtype == DataType::kFloat32 ? "f32" : "f64";
+      if (encoding == "raw")
+        return net::http_response(
+            200, "OK", "application/octet-stream",
+            {reinterpret_cast<const char*>(bytes.data()), bytes.size()},
+            {{"X-Transpwr-Dtype", dtype},
+             {"X-Transpwr-Dims", rows.dims.to_string()}});
+      body = "{\"archive\":";
+      obs::json_append_quoted(body, segs[1]);
+      body += ",\"dataset\":";
+      obs::json_append_quoted(body, segs[3]);
+      body += ",\"rows\":[" + std::to_string(range.begin) + ',' +
+              std::to_string(range.end) + "],\"dtype\":\"" + dtype +
+              "\",\"dims\":[";
+      for (int i = 0; i < rows.dims.nd; ++i)
+        body += (i ? "," : "") + std::to_string(rows.dims[i]);
+      body += "],\"encoding\":\"base64\",\"data\":\"";
+      body += net::base64_encode(bytes);
+      body += "\"}";
     } else {
       throw NotFoundError("serve: no route for " + req.path);
     }
-  } catch (const NotFoundError& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(404, "Not Found", "text/plain",
-                              std::string(e.what()) + "\n");
-  } catch (const ParamError& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(400, "Bad Request", "text/plain",
-                              std::string(e.what()) + "\n");
-  } catch (const StreamError& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(502, "Bad Gateway", "text/plain",
-                              std::string(e.what()) + "\n");
-  } catch (const std::exception& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(500, "Internal Server Error", "text/plain",
-                              std::string(e.what()) + "\n");
+  } catch (...) {
+    return http_refusal(refuse_current());
   }
-  std::string resp = net::http_response(200, "OK", content_type, body, extra);
-  if (is_head) {
-    // Same head (Content-Length included, per RFC 7231) with no body.
-    std::size_t blank = resp.find("\r\n\r\n");
-    resp.resize(blank + 4);
-  }
-  return resp;
+  body += '\n';  // every text body ends in a newline
+  return net::http_response(200, "OK", content_type, body);
 }
 
 }  // namespace server

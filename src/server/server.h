@@ -45,6 +45,12 @@ struct ServerOptions {
 /// ChunkCache — the warm path for a hot ROI is: parse frame, registry
 /// hit, cache hit, memcpy, respond.
 ///
+/// Both protocols are thin codecs over one request core of typed ops
+/// (server.cpp): archive + dataset resolution, row reads with the single
+/// float/double dispatch, list/stat/verify/chunk bytes, and one exception
+/// -> error class mapping that yields the TPRQ1 ErrCode and the HTTP
+/// status and counts `server.errors` once per refusal.
+///
 /// Shutdown is graceful and idempotent: request_stop() (also wired to
 /// the kShutdown op and, in the CLI, to SIGINT/SIGTERM) closes the
 /// listeners, wakes every connection blocked waiting for its *next*
@@ -94,12 +100,10 @@ class Server {
   void handle_tprq_connection(net::Socket sock);
   void handle_http_connection(net::Socket sock);
 
-  /// Dispatch one parsed request frame; returns the encoded response.
-  std::vector<std::uint8_t> dispatch(const net::Frame& req);
-  std::vector<std::uint8_t> handle_op(const net::Frame& req);
-
-  /// Route one parsed HTTP request; returns the full response bytes.
-  std::string route_http(const net::HttpRequest& req);
+  /// TPRQ1 codec: one request frame in, its encoded response frame out.
+  std::vector<std::uint8_t> answer_tprq(const net::Frame& req);
+  /// HTTP codec for a GET or HEAD: route, run, full response bytes out.
+  std::string answer_get(const net::HttpRequest& req);
 
   ServerOptions opts_;
   ArchiveRegistry registry_;

@@ -201,6 +201,10 @@ class ArchiveReader {
 
   const std::vector<DatasetInfo>& datasets() const { return directory_; }
   const DatasetInfo& dataset(const std::string& name) const;
+  /// Chunk row plan of dataset `name`, validated at open.
+  const slab::Plan& plan(const std::string& name) const {
+    return plans_[dataset_index(name)];
+  }
 
   /// Format version of the archive on disk: 1 (no summary blocks) or 2.
   std::uint32_t version() const { return version_; }

@@ -11,21 +11,15 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += std::to_string(v);
 }
 
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  obs::json_append_escaped(out, s);
-  out += '"';
-}
-
 void append_dataset(std::string& out, const DatasetInfo& ds) {
   const std::uint64_t compressed = ds.compressed_bytes();
   const std::uint64_t raw = ds.dims.count() * size_of(ds.dtype);
   out += "{\"name\":";
-  append_quoted(out, ds.name);
+  obs::json_append_quoted(out, ds.name);
   out += ",\"scheme\":";
-  append_quoted(out, scheme_name(ds.scheme));
+  obs::json_append_quoted(out, scheme_name(ds.scheme));
   out += ",\"dtype\":";
-  append_quoted(out, ds.dtype == DataType::kFloat32 ? "f32" : "f64");
+  obs::json_append_quoted(out, ds.dtype == DataType::kFloat32 ? "f32" : "f64");
   out += ",\"dims\":[";
   for (int i = 0; i < ds.dims.nd; ++i) {
     if (i) out += ',';
@@ -53,9 +47,9 @@ void append_dataset(std::string& out, const DatasetInfo& ds) {
 std::string archive_ls_json(const std::string& name,
                             const ArchiveReader& reader) {
   std::string out = "{\"archive\":";
-  append_quoted(out, name);
+  obs::json_append_quoted(out, name);
   out += ",\"transport\":";
-  append_quoted(out, reader.mapped() ? "mmap" : "buffered");
+  obs::json_append_quoted(out, reader.mapped() ? "mmap" : "buffered");
   out += ",\"datasets\":[";
   bool first = true;
   for (const auto& ds : reader.datasets()) {
@@ -75,7 +69,7 @@ std::string archive_verify_json(const std::string& name,
     bytes += ds.compressed_bytes();
   }
   std::string out = "{\"archive\":";
-  append_quoted(out, name);
+  obs::json_append_quoted(out, name);
   out += ",\"ok\":true,\"datasets\":";
   append_u64(out, reader.datasets().size());
   out += ",\"chunks\":";

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +15,7 @@
 #include "common/error.h"
 #include "data/generators.h"
 #include "net/client.h"
+#include "net/frame_io.h"
 #include "net/socket.h"
 #include "obs/obs.h"
 #include "query/query.h"
@@ -42,6 +47,33 @@ class ServeLoopback : public ::testing::Test {
   void TearDown() override {
     if (server_) server_->stop();
     std::remove(archive_path_.c_str());
+    for (const auto& path : extra_paths_) std::remove(path.c_str());
+  }
+
+  /// Path of a further served archive, removed at teardown.
+  std::string extra_archive(const std::string& name) {
+    extra_paths_.push_back(dir_ + "/" + name);
+    return extra_paths_.back();
+  }
+
+  /// Serve `name`: the fixture archive with one payload byte of chunk 1
+  /// (rows 8..16) flipped, so only reads touching that chunk fail.
+  void add_corrupt_archive(const std::string& name) {
+    const std::string path = extra_archive(name);
+    write_archive(path, /*rows=*/32, /*seed=*/7);
+    std::uint64_t at = 0;
+    {
+      store::ArchiveReader r(path);
+      const auto& chunk = r.dataset("wind").chunks[1];
+      at = chunk.offset + chunk.size / 2;
+    }
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(at));
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.write(&byte, 1);
   }
 
   static void write_archive(const std::string& path, std::size_t rows,
@@ -58,14 +90,37 @@ class ServeLoopback : public ::testing::Test {
 
   /// One-shot HTTP GET against the facade; returns the full response.
   std::string http_get(const std::string& target) {
+    return http_send("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+  }
+
+  /// Send raw request bytes to the facade; returns the full response.
+  std::string http_send(const std::string& request) {
     net::Socket s =
         net::Socket::connect("127.0.0.1", server_->http_port());
-    s.send_all("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+    s.send_all(request);
     std::string out;
     std::uint8_t buf[4096];
     while (std::size_t n = s.recv_some(buf, /*timeout_ms=*/5000))
       out.append(reinterpret_cast<const char*>(buf), n);
     return out;
+  }
+
+  /// Status code of an HTTP response ("HTTP/1.1 404 ..." -> 404).
+  static int status_of(const std::string& response) {
+    return response.size() > 12 ? std::stoi(response.substr(9, 3)) : 0;
+  }
+
+  /// Send raw bytes on a fresh TPRQ1 connection; returns the error code
+  /// of the error frame the server answers with.
+  net::ErrCode tprq_refusal(std::span<const std::uint8_t> bytes) {
+    net::Socket s = net::Socket::connect("127.0.0.1", server_->port());
+    s.send_all(bytes);
+    net::Frame f;
+    EXPECT_TRUE(net::read_frame(s, net::kDefaultMaxFrame, 5000, -1, &f));
+    EXPECT_TRUE(f.is_error());
+    net::ErrCode code{};
+    net::parse_error_body(f.body, &code, nullptr);
+    return code;
   }
 
   static std::string body_of(const std::string& response) {
@@ -76,8 +131,28 @@ class ServeLoopback : public ::testing::Test {
 
   std::string dir_;
   std::string archive_path_;
+  std::vector<std::string> extra_paths_;
   std::unique_ptr<Server> server_;
 };
+
+/// RFC 4648 base64 (padded) back to bytes.
+std::string base64_decode(std::string_view text) {
+  static const std::string kAlphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  std::string out;
+  std::uint32_t acc = 0;
+  int bits = 0;
+  for (char ch : text) {
+    if (ch == '=') break;
+    acc = (acc << 6) | static_cast<std::uint32_t>(kAlphabet.find(ch));
+    bits += 6;
+    if (bits >= 8) {
+      bits -= 8;
+      out += static_cast<char>((acc >> bits) & 0xff);
+    }
+  }
+  return out;
+}
 
 TEST_F(ServeLoopback, PingListStatVerify) {
   net::Client c("127.0.0.1", server_->port());
@@ -253,6 +328,259 @@ TEST_F(ServeLoopback, HeadOmitsBody) {
   EXPECT_NE(resp.find("200 OK"), std::string::npos);
   EXPECT_NE(resp.find("Content-Length: 3"), std::string::npos);
   EXPECT_EQ(body_of(resp), "");  // head only, no payload bytes
+
+  // Refusals too: the same head as the GET answer, Content-Length
+  // included, and no body.
+  const std::vector<std::pair<std::string, int>> refused = {
+      {"/nope", 404},
+      {"/archives/snapshots.tpar/datasets/wind/rows?range=9:3", 400}};
+  for (const auto& [target, status] : refused) {
+    std::string head =
+        http_send("HEAD " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+    std::string get = http_get(target);
+    EXPECT_EQ(status_of(head), status) << target;
+    EXPECT_NE(head.find("Content-Length: " +
+                        std::to_string(body_of(get).size())),
+              std::string::npos)
+        << head;
+    EXPECT_GT(body_of(get).size(), 0u);
+    EXPECT_EQ(body_of(head), "") << target;
+    EXPECT_EQ(head, get.substr(0, get.find("\r\n\r\n") + 4));
+  }
+}
+
+// Both codecs answer a refusal through one error classifier: the same
+// request refused on TPRQ1 and on HTTP gets the paired code and status.
+TEST_F(ServeLoopback, RefusalsPairAcrossCodecs) {
+  struct Case {
+    const char* what;
+    std::function<void(net::Client&)> tprq;
+    std::string http;
+    net::ErrCode code;
+    int status;
+  };
+  const std::string base = "/archives/snapshots.tpar/datasets/wind";
+  const std::vector<Case> cases = {
+      {"missing archive",
+       [](net::Client& c) { c.read_rows("nope.tpar", "wind", 0, 4); },
+       "/archives/nope.tpar/datasets/wind/rows?range=0:4",
+       net::ErrCode::kNotFound, 404},
+      {"missing dataset",
+       [](net::Client& c) { c.read_rows("snapshots.tpar", "ghost", 0, 4); },
+       "/archives/snapshots.tpar/datasets/ghost/rows?range=0:4",
+       net::ErrCode::kNotFound, 404},
+      {"row range 9:3",
+       [](net::Client& c) { c.read_rows("snapshots.tpar", "wind", 9, 3); },
+       base + "/rows?range=9:3", net::ErrCode::kBadRequest, 400},
+      {"bad predicate",
+       [](net::Client& c) {
+         c.query_count("snapshots.tpar", "wind",
+                       static_cast<net::QueryCmp>(9), 0.0);
+       },
+       base + "/query?op=count&where=eq:1", net::ErrCode::kBadRequest, 400},
+      {"points=0",
+       [](net::Client& c) { c.query_preview("snapshots.tpar", "wind", 0); },
+       base + "/query?op=preview&points=0", net::ErrCode::kBadRequest, 400},
+  };
+  net::Client c("127.0.0.1", server_->port());
+  for (const auto& tc : cases) {
+    try {
+      tc.tprq(c);
+      ADD_FAILURE() << tc.what << ": expected RemoteError";
+    } catch (const net::RemoteError& e) {
+      EXPECT_EQ(e.code(), tc.code) << tc.what;
+    }
+    EXPECT_EQ(status_of(http_get(tc.http)), tc.status) << tc.what;
+  }
+}
+
+// A flipped payload byte in one chunk is a corrupt archive, not a bad
+// request: kBadState on TPRQ1, 502 on HTTP. Other chunks still serve.
+TEST_F(ServeLoopback, CorruptChunkIsBadStateOnBothCodecs) {
+  add_corrupt_archive("corrupt.tpar");
+  net::Client c("127.0.0.1", server_->port());
+  try {
+    c.read_rows("corrupt.tpar", "wind", 8, 16);
+    FAIL() << "expected RemoteError";
+  } catch (const net::RemoteError& e) {
+    EXPECT_EQ(e.code(), net::ErrCode::kBadState);
+  }
+  try {
+    c.load("corrupt.tpar", "wind");
+    FAIL() << "expected RemoteError";
+  } catch (const net::RemoteError& e) {
+    EXPECT_EQ(e.code(), net::ErrCode::kBadState);
+  }
+  const std::string rows = "/archives/corrupt.tpar/datasets/wind/rows";
+  EXPECT_EQ(status_of(http_get(rows + "?range=8:16")), 502);
+  EXPECT_EQ(status_of(http_get(rows + "?range=8:16&encoding=raw")), 502);
+
+  store::ArchiveReader local(archive_path_);
+  EXPECT_EQ(c.read_rows("corrupt.tpar", "wind", 0, 8).as<float>(),
+            local.read_rows<float>("wind", 0, 8));
+  EXPECT_EQ(status_of(http_get(rows + "?range=0:8")), 200);
+}
+
+// A float64 dataset reads the same through every served path as through
+// a local reader: kLoad, kReadRows, HTTP raw and HTTP base64.
+TEST_F(ServeLoopback, Float64ReadsMatchLocalOnEveryPath) {
+  const std::string path = extra_archive("dens.tpar");
+  const Dims dims(24, 8, 8);
+  auto f = gen::hurricane_wind(dims, /*seed=*/11);
+  std::vector<double> dens(f.values.size());
+  for (std::size_t i = 0; i < dens.size(); ++i)
+    dens[i] = 1.0 / 3.0 + static_cast<double>(f.values[i]);
+  {
+    store::ArchiveWriter w(path);
+    store::DatasetOptions opts;
+    opts.scheme = Scheme::kSzT;
+    opts.params.bound = 1e-6;
+    opts.rows_per_chunk = 8;
+    w.add_dataset<double>("dens", std::span<const double>(dens), dims, opts);
+    w.finish();
+  }
+  store::ArchiveReader local(path);
+  net::Client c("127.0.0.1", server_->port());
+
+  auto whole = c.load("dens.tpar", "dens");
+  EXPECT_EQ(whole.dtype, DataType::kFloat64);
+  EXPECT_EQ(whole.dims, dims);
+  EXPECT_EQ(whole.as<double>(), local.read_rows<double>("dens", 0, 24));
+
+  const auto want = local.read_rows<double>("dens", 5, 19);
+  const std::string want_bytes(reinterpret_cast<const char*>(want.data()),
+                               want.size() * sizeof(double));
+  auto rows = c.read_rows("dens.tpar", "dens", 5, 19);
+  EXPECT_EQ(rows.dtype, DataType::kFloat64);
+  EXPECT_EQ(rows.dims, Dims(14, 8, 8));
+  EXPECT_EQ(rows.as<double>(), want);
+
+  const std::string target =
+      "/archives/dens.tpar/datasets/dens/rows?range=5:19";
+  std::string raw = http_get(target + "&encoding=raw");
+  EXPECT_EQ(status_of(raw), 200);
+  EXPECT_NE(raw.find("X-Transpwr-Dtype: f64"), std::string::npos);
+  EXPECT_NE(raw.find("X-Transpwr-Dims: 14x8x8"), std::string::npos);
+  EXPECT_EQ(body_of(raw), want_bytes);
+
+  std::string b64 = body_of(http_get(target));
+  EXPECT_TRUE(obs::json_valid(b64)) << b64;
+  EXPECT_NE(b64.find("\"dtype\":\"f64\""), std::string::npos);
+  const std::string key = "\"data\":\"";
+  const std::size_t at = b64.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t from = at + key.size();
+  EXPECT_EQ(base64_decode(std::string_view(b64).substr(
+                from, b64.find('"', from) - from)),
+            want_bytes);
+}
+
+// `server.errors` counts every refused request exactly once, whichever
+// codec refused it and however early in the request it was refused.
+TEST_F(ServeLoopback, EveryRefusalCountedOnce) {
+  obs::ScopedRecording rec;
+  add_corrupt_archive("corrupt.tpar");
+  const std::uint64_t before = obs::counter_value("server.errors");
+  std::uint64_t sent = 0;
+
+  // TPRQ1: answered by the op core ...
+  net::Client c("127.0.0.1", server_->port());
+  auto refused = [&](const std::function<void()>& call, net::ErrCode want) {
+    ++sent;
+    try {
+      call();
+      ADD_FAILURE() << "expected RemoteError";
+    } catch (const net::RemoteError& e) {
+      EXPECT_EQ(e.code(), want);
+    }
+  };
+  refused([&] { c.stat("nope.tpar"); }, net::ErrCode::kNotFound);
+  refused([&] { c.read_rows("snapshots.tpar", "wind", 9, 3); },
+          net::ErrCode::kBadRequest);
+  refused([&] { c.read_rows("corrupt.tpar", "wind", 8, 16); },
+          net::ErrCode::kBadState);
+  // ... an unknown op, and bytes that do not frame (a length prefix
+  // below the header size).
+  ++sent;
+  EXPECT_EQ(tprq_refusal(net::encode_frame(99, 0, 5, {})),
+            net::ErrCode::kBadOp);
+  ++sent;
+  const std::uint8_t short_len[4] = {1, 0, 0, 0};
+  EXPECT_EQ(tprq_refusal(short_len), net::ErrCode::kBadRequest);
+
+  // HTTP: routed refusals, a method other than GET/HEAD, an unparsable
+  // request line, and a head over the size cap (sent whole, so the
+  // server reads every byte before it answers and closes).
+  const std::vector<std::pair<std::string, int>> http = {
+      {"GET /nope HTTP/1.1\r\n\r\n", 404},
+      {"GET /archives/snapshots.tpar/datasets/wind/rows?range=9:3 "
+       "HTTP/1.1\r\n\r\n",
+       400},
+      {"GET /archives/corrupt.tpar/datasets/wind/rows?range=8:16 "
+       "HTTP/1.1\r\n\r\n",
+       502},
+      {"POST /archives HTTP/1.1\r\n\r\n", 405},
+      {"HEAD /nope HTTP/1.1\r\n\r\n", 404},
+      {"FOO\r\n\r\n", 400},
+      {"GET /" +
+           std::string(net::kMaxRequestLine + net::kMaxHeaderBytes, 'a'),
+       431},
+  };
+  for (const auto& [request, status] : http) {
+    ++sent;
+    EXPECT_EQ(status_of(http_send(request)), status) << request.substr(0, 40);
+  }
+  EXPECT_EQ(obs::counter_value("server.errors") - before, sent);
+}
+
+// A request already read when the drain begins is refused with
+// kShuttingDown, and counted. The refusal can only land between the last
+// read of a frame and the draining check, so the test widens that gap: it
+// sends a 16 MiB frame but for its last byte, lets the server read it,
+// then sends the last byte and requests the stop while the server is
+// still checksumming the body. A stop that comes too early drops the
+// connection unanswered, one too late lets the op answer; either way the
+// counter must match what the client was told, and one of a few timings
+// must hit the window.
+TEST_F(ServeLoopback, DrainingRefusalCounted) {
+  obs::ScopedRecording rec;
+  server_->stop();
+  const std::vector<std::uint8_t> body(16u << 20);
+  const auto frame = net::encode_frame(net::Op::kList, 0, 1, body);
+  const std::span<const std::uint8_t> bytes(frame);
+  bool drained = false;
+  for (int delay_ms : {3, 1, 8, 2, 15, 5}) {
+    ServerOptions opts;
+    opts.dir = dir_;
+    Server s(opts);
+    s.start();
+    const std::uint64_t before = obs::counter_value("server.errors");
+    net::Socket sock = net::Socket::connect("127.0.0.1", s.port());
+    sock.send_all(bytes.first(bytes.size() - 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    sock.send_all(bytes.last(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    s.request_stop();
+    std::uint64_t answered = 0;
+    net::Frame resp;
+    try {
+      if (net::read_frame(sock, net::kDefaultMaxFrame, 10000, -1, &resp))
+        answered = 1;
+    } catch (const Error&) {
+      // Stopped before the frame was read: dropped unanswered.
+    }
+    if (answered) {
+      ASSERT_TRUE(resp.is_error());  // kShuttingDown, or list's trailing bytes
+      net::ErrCode code{};
+      net::parse_error_body(resp.body, &code, nullptr);
+      drained = drained || code == net::ErrCode::kShuttingDown;
+    }
+    sock.close();
+    s.stop();
+    EXPECT_EQ(obs::counter_value("server.errors") - before, answered);
+    if (drained) break;
+  }
+  EXPECT_TRUE(drained);
 }
 
 // kQuery answers must agree exactly with a local Executor over the same
