@@ -185,11 +185,47 @@ std::vector<std::uint8_t> tprq_refusal(std::uint16_t op, std::uint32_t seq,
   return net::encode_error(op, seq, r.cls.code, r.message);
 }
 
-void require_drained(ByteReader& in, net::Op op) {
-  if (in.remaining() != 0)
-    throw ParamError(std::string("serve: trailing bytes in ") +
-                     net::op_name(op) + " request body");
-}
+/// The body of one TPRQ1 request. A body that does not fit its op is the
+/// client's error: a short read becomes a ParamError (kBadRequest), so
+/// only a StreamError from the archive itself is answered kBadState.
+class Body {
+ public:
+  Body(std::span<const std::uint8_t> bytes, net::Op op)
+      : in_(bytes), op_(op) {}
+
+  template <typename T>
+  T get() {
+    try {
+      return in_.get<T>();
+    } catch (const StreamError& e) {
+      throw malformed(e);
+    }
+  }
+
+  std::string string() {
+    try {
+      return net::get_string(in_);
+    } catch (const StreamError& e) {
+      throw malformed(e);
+    }
+  }
+
+  /// Throw unless the op read every byte of the body.
+  void drained() const {
+    if (in_.remaining() != 0)
+      throw ParamError(std::string("serve: trailing bytes in ") +
+                       net::op_name(op_) + " request body");
+  }
+
+ private:
+  ParamError malformed(const StreamError& e) const {
+    return ParamError(std::string("serve: malformed ") + net::op_name(op_) +
+                      " request body: " + e.what());
+  }
+
+  ByteReader in_;
+  net::Op op_;
+};
 
 /// Validate the wire form of a query predicate (u8 cmp + f64 threshold).
 query::Predicate wire_predicate(std::uint8_t cmp, double threshold) {
@@ -395,7 +431,7 @@ std::vector<std::uint8_t> Server::answer_tprq(const net::Frame& req) {
         req.op, req.seq,
         refuse(errclass::kBadOp, "unknown op " + std::to_string(req.op)));
   const auto op = static_cast<net::Op>(req.op);
-  ByteReader in(req.body);
+  Body in(req.body, op);
   ByteWriter out;
   try {
     switch (op) {
@@ -409,15 +445,15 @@ std::vector<std::uint8_t> Server::answer_tprq(const net::Frame& req) {
         break;
       }
       case net::Op::kList: {
-        require_drained(in, op);
+        in.drained();
         auto names = registry_.list();
         out.put<std::uint32_t>(static_cast<std::uint32_t>(names.size()));
         for (const auto& n : names) net::put_string(out, n);
         break;
       }
       case net::Op::kStat: {
-        auto archive = net::get_string(in);
-        require_drained(in, op);
+        auto archive = in.string();
+        in.drained();
         auto reader = registry_.open(archive);
         const auto& dir = reader->datasets();
         out.put<std::uint32_t>(static_cast<std::uint32_t>(dir.size()));
@@ -437,13 +473,13 @@ std::vector<std::uint8_t> Server::answer_tprq(const net::Frame& req) {
       case net::Op::kReadRows: {
         // Payload: u8 dtype, u8 nd, 3 x u64 dims, u64-sized raw
         // little-endian element bytes.
-        auto archive = net::get_string(in);
-        auto dataset = net::get_string(in);
+        auto archive = in.string();
+        auto dataset = in.string();
         std::optional<query::RowRange> range;
         if (op == net::Op::kReadRows)  // braces read begin, then end
           range = query::RowRange{in.get<std::uint64_t>(),
                                   in.get<std::uint64_t>()};
-        require_drained(in, op);
+        in.drained();
         const Rows rows = read_rows(resolve(registry_, archive, dataset),
                                     range, opts_.decode_threads);
         out.put<std::uint8_t>(static_cast<std::uint8_t>(rows.dtype));
@@ -452,30 +488,30 @@ std::vector<std::uint8_t> Server::answer_tprq(const net::Frame& req) {
         break;
       }
       case net::Op::kChunkBytes: {
-        auto archive = net::get_string(in);
-        auto dataset = net::get_string(in);
+        auto archive = in.string();
+        auto dataset = in.string();
         auto chunk = in.get<std::uint64_t>();
-        require_drained(in, op);
+        in.drained();
         out.put_sized(
             chunk_bytes(resolve(registry_, archive, dataset), chunk));
         break;
       }
       case net::Op::kVerify: {
-        auto archive = net::get_string(in);
-        require_drained(in, op);
+        auto archive = in.string();
+        in.drained();
         for (std::uint64_t v : verify(registry_, archive)) out.put(v);
         break;
       }
       case net::Op::kQuery: {
-        auto archive = net::get_string(in);
-        auto dataset = net::get_string(in);
+        auto archive = in.string();
+        auto dataset = in.string();
         auto kind_byte = in.get<std::uint8_t>();
         auto cmp_byte = in.get<std::uint8_t>();
         auto threshold = in.get<double>();
         auto row_begin = in.get<std::uint64_t>();
         auto row_end = in.get<std::uint64_t>();
         auto points = in.get<std::uint64_t>();
-        require_drained(in, op);
+        in.drained();
         if (kind_byte < static_cast<std::uint8_t>(net::QueryKind::kChunks) ||
             kind_byte > static_cast<std::uint8_t>(net::QueryKind::kPreview))
           throw ParamError("serve: bad query kind byte");
@@ -527,7 +563,7 @@ std::vector<std::uint8_t> Server::answer_tprq(const net::Frame& req) {
         break;
       }
       case net::Op::kShutdown: {
-        require_drained(in, op);
+        in.drained();
         // Acknowledge first (the caller's write happens after we return),
         // then begin the drain; the connection loop exits after sending.
         request_stop();

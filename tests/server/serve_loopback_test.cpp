@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytestream.h"
 #include "common/error.h"
 #include "data/generators.h"
 #include "net/client.h"
@@ -531,6 +532,29 @@ TEST_F(ServeLoopback, EveryRefusalCountedOnce) {
     EXPECT_EQ(status_of(http_send(request)), status) << request.substr(0, 40);
   }
   EXPECT_EQ(obs::counter_value("server.errors") - before, sent);
+}
+
+// A TPRQ1 body too short for its op is the client's error (kBadRequest),
+// not an unreadable archive; archive-side failures stay kBadState
+// (CorruptChunkIsBadStateOnBothCodecs).
+TEST_F(ServeLoopback, ShortBodyIsBadRequest) {
+  // stat whose archive-name length runs past the end of the body.
+  ByteWriter stat;
+  stat.put<std::uint32_t>(64);
+  stat.put<std::uint32_t>(0x70616e73);  // "snap"
+  EXPECT_EQ(tprq_refusal(net::encode_frame(net::Op::kStat, 0, 1, stat.take())),
+            net::ErrCode::kBadRequest);
+  // read_rows with its row_begin but no row_end.
+  ByteWriter rows;
+  net::put_string(rows, "snapshots.tpar");
+  net::put_string(rows, "wind");
+  rows.put<std::uint64_t>(0);
+  EXPECT_EQ(
+      tprq_refusal(net::encode_frame(net::Op::kReadRows, 0, 2, rows.take())),
+      net::ErrCode::kBadRequest);
+  // The same archive still serves a well-formed request.
+  net::Client c("127.0.0.1", server_->port());
+  EXPECT_EQ(c.read_rows("snapshots.tpar", "wind", 0, 8).dims, Dims(8, 8, 8));
 }
 
 // A request already read when the drain begins is refused with
