@@ -147,25 +147,16 @@ int do_info(const Args& a) {
     std::printf("%s: not a transpwr container\n", a.input.c_str());
     return 1;
   }
-  auto dtype = static_cast<DataType>(in.get<std::uint8_t>());
-  auto scheme = static_cast<Scheme>(in.get<std::uint8_t>());
-  int nd = in.get<std::uint8_t>();
-  in.get<std::uint8_t>();
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  auto slabs = in.get<std::uint32_t>();
+  const chunked::Header h = chunked::read_header(stream);
   std::printf("container: transpwr chunked v1\n");
-  std::printf("scheme:    %s\n", scheme_name(scheme));
+  std::printf("scheme:    %s\n", scheme_name(h.scheme));
   std::printf("dtype:     %s\n",
-              dtype == DataType::kFloat32 ? "float32" : "float64");
-  std::printf("dims:      %s (%zu values)\n", dims.to_string().c_str(),
-              dims.count());
-  std::printf("slabs:     %u\n", slabs);
+              h.dtype == DataType::kFloat32 ? "float32" : "float64");
+  std::printf("dims:      %s (%zu values)\n", h.dims.to_string().c_str(),
+              h.dims.count());
+  std::printf("slabs:     %zu\n", h.plan.size());
   std::printf("size:      %zu bytes (ratio %.3f vs raw)\n", stream.size(),
-              compression_ratio(dims.count() * size_of(dtype),
+              compression_ratio(h.dims.count() * size_of(h.dtype),
                                 stream.size()));
   return 0;
 }

@@ -71,44 +71,20 @@ void put_slabs(ByteWriter& out, const Params& params, std::span<const T> rows,
 }
 
 /// A parsed CHK1 container; slab streams are views into the input.
-struct Container {
-  Scheme scheme = Scheme::kSzT;
-  Dims dims;
-  slab::Plan plan;
+struct Container : Header {
   std::vector<std::uint64_t> sums;
   std::vector<std::span<const std::uint8_t>> streams;
 };
 
 template <typename T>
 Container parse(std::span<const std::uint8_t> stream) {
-  ByteReader in(stream);
-  if (in.get<std::uint32_t>() != kMagic)
-    throw StreamError("chunked: bad magic");
-  auto dtype = static_cast<DataType>(in.get<std::uint8_t>());
-  if (dtype != data_type_of<T>())
+  Container c{read_header(stream), {}, {}};
+  if (c.dtype != data_type_of<T>())
     throw StreamError("chunked: stream data type does not match");
-  std::uint8_t scheme_byte = in.get<std::uint8_t>();
-  if (scheme_byte > static_cast<std::uint8_t>(Scheme::kSziT))
-    throw StreamError("chunked: unknown scheme byte");
-  Container c;
-  c.scheme = static_cast<Scheme>(scheme_byte);
-  c.dims.nd = in.get<std::uint8_t>();
-  in.get<std::uint8_t>();
-  for (int i = 0; i < 3; ++i)
-    c.dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  checked_count(c.dims, "chunked");
-  auto num_slabs = in.get<std::uint32_t>();
-  // Each slab needs at least its 8-byte row count in the stream.
-  if (num_slabs == 0 || num_slabs > c.dims[0] ||
-      num_slabs > stream.size() / 8)
-    throw StreamError("chunked: implausible slab count");
-  std::vector<std::uint64_t> rows(num_slabs);
-  for (auto& rc : rows) rc = in.get<std::uint64_t>();
-  c.plan = slab::Plan::from_table(c.dims[0], rows, "chunked");
-  c.sums.resize(num_slabs);
-  c.streams.resize(num_slabs);
-  for (std::uint32_t i = 0; i < num_slabs; ++i) {
+  ByteReader in(stream.subspan(c.bytes));
+  c.sums.resize(c.plan.size());
+  c.streams.resize(c.plan.size());
+  for (std::size_t i = 0; i < c.plan.size(); ++i) {
     c.sums[i] = in.get<std::uint64_t>();
     c.streams[i] = in.get_sized();
   }
@@ -137,6 +113,42 @@ std::vector<T> read(const Container& c, std::size_t row_begin,
 }
 
 }  // namespace
+
+Header read_header(std::span<const std::uint8_t> stream) {
+  ByteReader in(stream);
+  if (in.get<std::uint32_t>() != kMagic)
+    throw StreamError("chunked: bad magic");
+  std::uint8_t dtype_byte = in.get<std::uint8_t>();
+  if (dtype_byte > static_cast<std::uint8_t>(DataType::kFloat64))
+    throw StreamError("chunked: unknown data type byte");
+  std::uint8_t scheme_byte = in.get<std::uint8_t>();
+  if (scheme_byte > static_cast<std::uint8_t>(Scheme::kSziT))
+    throw StreamError("chunked: unknown scheme byte");
+  Header h;
+  h.dtype = static_cast<DataType>(dtype_byte);
+  h.scheme = static_cast<Scheme>(scheme_byte);
+  h.dims.nd = in.get<std::uint8_t>();
+  in.get<std::uint8_t>();
+  for (int i = 0; i < 3; ++i)
+    h.dims.d[static_cast<std::size_t>(i)] =
+        static_cast<std::size_t>(in.get<std::uint64_t>());
+  // Dims::validate() would throw ParamError; a header is stream data.
+  if (h.dims.nd < 1 || h.dims.nd > 3)
+    throw StreamError("chunked: dimension count must be 1, 2 or 3");
+  for (int i = 0; i < h.dims.nd; ++i)
+    if (h.dims[i] == 0) throw StreamError("chunked: zero-sized dimension");
+  checked_count(h.dims, "chunked");
+  auto num_slabs = in.get<std::uint32_t>();
+  // Each slab needs at least its 8-byte row count in the stream.
+  if (num_slabs == 0 || num_slabs > h.dims[0] ||
+      num_slabs > stream.size() / 8)
+    throw StreamError("chunked: implausible slab count");
+  std::vector<std::uint64_t> rows(num_slabs);
+  for (auto& rc : rows) rc = in.get<std::uint64_t>();
+  h.plan = slab::Plan::from_table(h.dims[0], rows, "chunked");
+  h.bytes = in.pos();
+  return h;
+}
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,

@@ -29,6 +29,22 @@ template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
                                    const Params& params);
 
+/// The header of a CHK1 container: element type, scheme, shape and the
+/// slab row table. The slabs start `bytes` into the stream.
+struct Header {
+  DataType dtype = DataType::kFloat32;
+  Scheme scheme = Scheme::kSzT;
+  Dims dims;
+  slab::Plan plan;
+  std::size_t bytes = 0;
+};
+
+/// Parse and check the header of a CHK1 container of either element type
+/// (the decoders below and `transpwr info` both read it here). Throws
+/// StreamError on a bad magic, an unknown dtype or scheme byte, a shape
+/// outside 1-3 non-empty dimensions, or an implausible slab table.
+Header read_header(std::span<const std::uint8_t> stream);
+
 /// `threads` = 0 uses hardware concurrency.
 template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> stream,

@@ -6,11 +6,14 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/compressor.h"
 #include "data/io.h"
 #include "obs/obs.h"
+#include "parallel/chunked.h"
 #include "store/archive.h"
 #include "store/archive_json.h"
 
@@ -569,6 +572,30 @@ TEST(CliEndToEnd, InfoRejectsGarbage) {
   auto i = cli::parse_args({"info", junk});
   EXPECT_EQ(cli::run(i), 1);
   std::remove(junk.c_str());
+}
+
+// `info` reads a CHK1 header through chunked::read_header, so hostile
+// header bytes end in a StreamError and a nonzero exit, never in a report
+// printed from an nd past the 3-element dims array.
+TEST(CliEndToEnd, InfoRejectsHostileChunkedHeaders) {
+  std::vector<float> values(64, 1.5f);
+  const auto good = chunked::compress<float>(values, Dims(4, 16), {});
+  std::string path = tmp("hostile_header.tpz");
+  io::write_bytes(path, good);
+  EXPECT_EQ(cli::run(cli::parse_args({"info", path})), 0);
+  // Header offsets: 4 dtype, 5 scheme, 6 nd.
+  const std::pair<std::size_t, std::uint8_t> cases[] = {
+      {6, 200}, {4, 9}, {5, 42}};
+  for (const auto& [offset, byte] : cases) {
+    auto bad = good;
+    bad[offset] = byte;
+    io::write_bytes(path, bad);
+    EXPECT_THROW(cli::run(cli::parse_args({"info", path})), StreamError)
+        << "offset " << offset;
+    const char* argv[] = {"transpwr", "info", path.c_str()};
+    EXPECT_EQ(cli::main_entry(3, argv), 2) << "offset " << offset;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CliEndToEnd, CompressRejectsWrongSize) {

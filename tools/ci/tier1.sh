@@ -88,6 +88,13 @@ echo "=== tier-1 [asan-ubsan]: query smoke ==="
 cmake --build "$asan" --target test_query -j "$jobs"
 "$asan/tests/test_query"
 
+# CLI under the same sanitizers: every subcommand end to end, including
+# `info` on hostile CHK1 headers (nd past 3, unknown dtype and scheme
+# bytes), so a header parse that reads past its arrays trips ASan.
+echo "=== tier-1 [asan-ubsan]: cli smoke ==="
+cmake --build "$asan" --target test_cli -j "$jobs"
+"$asan/tests/test_cli"
+
 # Hunter smoke under the same sanitizers: a bounded sweep of the
 # adversarial bound-violation hunter (fixed seed, every scheme x edge
 # family) with the native kernels on, so guarantee-surface arithmetic runs
