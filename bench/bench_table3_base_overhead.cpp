@@ -1,16 +1,30 @@
 // Reproduces paper Table III: pre-/post-processing overhead of the log
 // transformation under bases {2, e, 10}. Base 2 uses log2/exp2, base e
 // log/exp, base 10 log10/pow — base 10 pays for the missing fast exp10,
-// which is why the paper fixes base 2.
+// which is why the paper fixes base 2. The stage times are the pipeline's
+// own `pre` / `post` spans, read from the obs registry.
 #include <cstdio>
+#include <string_view>
 
 #include "bench_util.h"
 #include "core/transformed.h"
 #include "data/generators.h"
+#include "obs/obs.h"
 
 using namespace transpwr;
 
+namespace {
+
+double span_seconds(std::string_view path) {
+  for (const auto& [p, stat] : obs::snapshot().spans)
+    if (p == path) return stat.seconds;
+  return 0;
+}
+
+}  // namespace
+
 int main() {
+  obs::ScopedRecording rec;
   bench::print_header(
       "Table III: pre/post-processing time (s) of different bases (NYX)");
 
@@ -31,13 +45,13 @@ int main() {
       TransformedParams p;
       p.rel_bound = 1e-3;
       p.log_base = base;
-      StageTimes ct{}, dt{};
-      auto stream = transformed_compress<float>(f->span(), f->dims,
-                                                InnerCodec::kSz, p, &ct);
-      auto out = transformed_decompress<float>(stream, nullptr, &dt);
+      obs::reset();
+      auto stream =
+          transformed_compress<float>(f->span(), f->dims, InnerCodec::kSz, p);
+      auto out = transformed_decompress<float>(stream);
       (void)out;
-      pre[fi][bi] = ct.pre_seconds;
-      post[fi][bi] = dt.post_seconds;
+      pre[fi][bi] = span_seconds("transformed.compress/pre");
+      post[fi][bi] = span_seconds("transformed.decompress/post");
       ++bi;
     }
     ++fi;

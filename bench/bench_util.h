@@ -71,13 +71,6 @@ inline double bound_for_ratio(Scheme scheme, const Field<float>& f,
   return bound;
 }
 
-/// Keep `value` observable so the optimizer cannot elide the work that
-/// produced it (open-latency probes construct a reader and drop it).
-template <typename T>
-inline void do_not_optimize(const T& value) {
-  asm volatile("" : : "r,m"(value) : "memory");
-}
-
 inline void print_header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }

@@ -22,8 +22,7 @@ constexpr std::uint32_t kMagic = 0x31545254;  // "TRT1"
 template <typename T>
 std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
                                                Dims dims, InnerCodec codec,
-                                               const TransformedParams& p,
-                                               StageTimes* times) {
+                                               const TransformedParams& p) {
   dims.validate();
   if (data.size() != dims.count())
     throw ParamError("transformed: data size does not match dims");
@@ -34,8 +33,12 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
   TransformResult<T> tr;
   std::vector<std::uint8_t> sign_bytes;
   {
-    obs::Span pre_span("pre", times ? &times->pre_seconds : nullptr);
-    tr = log_forward<T>(data, p.rel_bound, p.log_base, p.threads);
+    obs::Span pre_span("pre");
+    {
+      obs::Span log_span("log_map");
+      tr = log_forward<T>(data, p.rel_bound, p.log_base, p.threads);
+    }
+    obs::Span signs_span("signs");
     if (!tr.negative.empty()) {
       BitWriter bw;
       rle::encode_bits(tr.negative, bw);
@@ -54,8 +57,7 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
       sp.bound = tr.adjusted_abs_bound;
       sp.quant_intervals = p.quant_intervals;
       sp.threads = p.threads;
-      inner = sz::compress<T>(tr.mapped, dims, sp,
-                              times ? &times->inner : nullptr);
+      inner = sz::compress<T>(tr.mapped, dims, sp);
     } else if (codec == InnerCodec::kSzInterp) {
       sz_interp::Params ip;
       ip.bound = tr.adjusted_abs_bound;
@@ -89,8 +91,7 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
 
 template <typename T>
 std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
-                                      Dims* dims_out, StageTimes* times,
-                                      std::size_t threads) {
+                                      Dims* dims_out, std::size_t threads) {
   obs::Span root_span("transformed.decompress");
   ByteReader in(stream);
   if (in.get<std::uint32_t>() != kMagic)
@@ -120,8 +121,7 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
   {
     obs::Span inner_span("inner");
     if (codec == InnerCodec::kSz)
-      mapped = sz::decompress<T>(inner, &dims, threads,
-                                 times ? &times->inner : nullptr);
+      mapped = sz::decompress<T>(inner, &dims, threads);
     else if (codec == InnerCodec::kSzInterp)
       mapped = sz_interp::decompress<T>(inner, &dims, threads);
     else
@@ -130,15 +130,20 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
   if (dims_out) *dims_out = dims;
 
   // --- postprocessing: sign decompression + inverse map.
-  obs::Span post_span("post", times ? &times->post_seconds : nullptr);
+  obs::Span post_span("post");
   Bitmap negative;
-  if (has_signs) {
-    auto raw = lossless::decompress(sign_bytes, threads);
-    BitReader br(raw);
-    negative = rle::decode_bits(br);
+  {
+    obs::Span signs_span("signs");
+    if (has_signs) {
+      auto raw = lossless::decompress(sign_bytes, threads);
+      BitReader br(raw);
+      negative = rle::decode_bits(br);
+    }
   }
   // The inner codec's output buffer becomes the result: exponentiated in
-  // place, no second field-sized allocation.
+  // place (signs applied in the same pass), no second field-sized
+  // allocation.
+  obs::Span log_span("log_map");
   log_inverse_inplace<T>(std::span<T>(mapped), negative, base,
                          zero_threshold, threads,
                          log_kernel == 1 ? LogExpPath::kFastKernel
@@ -147,14 +152,12 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
 }
 
 template std::vector<std::uint8_t> transformed_compress<float>(
-    std::span<const float>, Dims, InnerCodec, const TransformedParams&,
-    StageTimes*);
+    std::span<const float>, Dims, InnerCodec, const TransformedParams&);
 template std::vector<std::uint8_t> transformed_compress<double>(
-    std::span<const double>, Dims, InnerCodec, const TransformedParams&,
-    StageTimes*);
+    std::span<const double>, Dims, InnerCodec, const TransformedParams&);
 template std::vector<float> transformed_decompress<float>(
-    std::span<const std::uint8_t>, Dims*, StageTimes*, std::size_t);
+    std::span<const std::uint8_t>, Dims*, std::size_t);
 template std::vector<double> transformed_decompress<double>(
-    std::span<const std::uint8_t>, Dims*, StageTimes*, std::size_t);
+    std::span<const std::uint8_t>, Dims*, std::size_t);
 
 }  // namespace transpwr

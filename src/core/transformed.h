@@ -1,13 +1,13 @@
 #ifndef TRANSPWR_CORE_TRANSFORMED_H
 #define TRANSPWR_CORE_TRANSFORMED_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/types.h"
 #include "core/log_transform.h"
-#include "sz/sz.h"
 
 namespace transpwr {
 
@@ -26,28 +26,31 @@ struct TransformedParams {
   std::size_t threads = 0;
 };
 
-/// Timing breakdown of the transform stages (paper Table III).
-struct StageTimes {
-  double pre_seconds = 0;   ///< forward log map + sign compression
-  double post_seconds = 0;  ///< inverse map + sign decompression
-  /// Per-stage breakdown of the inner codec; only filled when the inner
-  /// codec is kSz (the paper's SZ_T configuration).
-  sz::StageStats inner;
-};
-
+/// Stage times are spans under `transformed.{compress,decompress}`: `pre`
+/// and `post` (paper Table III), each split into `log_map` and `signs`,
+/// around `inner` (docs/observability.md).
 template <typename T>
 std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
                                                Dims dims, InnerCodec codec,
-                                               const TransformedParams& p,
-                                               StageTimes* times = nullptr);
+                                               const TransformedParams& p);
 
 /// `threads` bounds the inner-decode and inverse-transform workers;
 /// 0 => hardware concurrency.
 template <typename T>
 std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
                                       Dims* dims_out = nullptr,
-                                      StageTimes* times = nullptr,
                                       std::size_t threads = 0);
+
+/// Kept only for the repository benchmark: perfbench/src/whole_field.cpp,
+/// pinned by BENCHMARK.json, calls
+/// `transformed_decompress<float>(stream, nullptr, nullptr, 1)`. Remove it
+/// with that call.
+template <typename T>
+std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
+                                      Dims* dims_out, std::nullptr_t,
+                                      std::size_t threads) {
+  return transformed_decompress<T>(stream, dims_out, threads);
+}
 
 }  // namespace transpwr
 

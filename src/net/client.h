@@ -105,8 +105,8 @@ struct RemotePreview {
 };
 
 /// Synchronous TPRQ1 client over one TCP connection. Used by the
-/// `transpwr serve` tests, the `bench_serve` load generator, and any C++
-/// application that wants archive reads without linking the store.
+/// `transpwr serve` tests, perfbench's `serve_mix` load generator, and any
+/// C++ application that wants archive reads without linking the store.
 ///
 /// Not thread-safe: one Client per thread (connections are cheap; the
 /// server shares archive handles across all of them server-side).

@@ -60,25 +60,19 @@ void gauge_set(std::string_view name, double value);
 /// merge (sum of seconds, count of closings) — the per-thread aggregate is
 /// folded into shared atomic accumulators at span close, so the registry
 /// needs no lock on the hot path after the first sighting of a path.
-///
-/// `sink`, when non-null, receives the elapsed seconds on close even while
-/// global recording is disabled — this is how the legacy per-call stage
-/// structs (sz::StageStats, StageTimes) are fed from the same spans.
 class Span {
  public:
-  explicit Span(std::string_view name, double* sink = nullptr);
+  explicit Span(std::string_view name);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Seconds elapsed since construction — live even when the span neither
-  /// sinks nor records.
+  /// Seconds elapsed since construction — live even when the span does
+  /// not record.
   double seconds() const;
 
  private:
   using clock = std::chrono::steady_clock;
-  double* sink_;
-  bool timing_;     // sink or recording => we read the clock
   bool recording_;  // global registry recording
   Span* parent_ = nullptr;
   std::string path_;

@@ -674,7 +674,7 @@ std::size_t decode_sweep_tiled(const std::uint32_t* codes, const Geometry& g,
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
-                                   const Params& params, StageStats* stats) {
+                                   const Params& params) {
   validate(params, dims);
   if (data.size() != dims.count())
     throw ParamError("sz: data size does not match dims");
@@ -703,7 +703,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   const std::size_t nx = dims[dims.nd - 1];
 
   {
-  obs::Span predict_span("predict", stats ? &stats->predict_s : nullptr);
+  obs::Span predict_span("predict");
   if (!hybrid && kernels::active() == kernels::Dispatch::kNative) {
     encode_sweep_tiled<T>(data, g, p.mode, p.bound, exps, radius,
                           codes.data(), recon.data(), p.threads);
@@ -740,19 +740,13 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
 
   // Entropy stage: block-parallel Huffman over the quantization codes (the
   // v2 container), then optionally LZ over the coded bytes.
-  lossless::BlockedStats bstats;
   std::vector<std::uint8_t> coded;
   std::uint8_t codes_format = kCodesBlocked;
   {
     obs::Span entropy_span("entropy_encode");
-    coded =
-        lossless::blocked_encode(codes, p.quant_intervals, p.threads, &bstats);
+    coded = lossless::blocked_encode(codes, p.quant_intervals, p.threads);
     if (sz_detail::maybe_lz(coded, p.lz_stage, p.threads))
       codes_format |= kCodesLz;
-    if (stats) {
-      stats->histogram_s = bstats.histogram_s;
-      stats->encode_s = entropy_span.seconds() - bstats.histogram_s;
-    }
   }
 
   ByteWriter out;
@@ -792,8 +786,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
 
 template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> stream,
-                          Dims* dims_out, std::size_t threads,
-                          StageStats* stats) {
+                          Dims* dims_out, std::size_t threads) {
   obs::Span decompress_span("sz.decompress");
   ByteReader in(stream);
   if (in.get<std::uint32_t>() != kMagic)
@@ -884,8 +877,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   HuffmanCoder huff;
   std::vector<std::uint32_t> decoded_codes;
   {
-    obs::Span entropy_span("entropy_decode",
-                           stats ? &stats->entropy_decode_s : nullptr);
+    obs::Span entropy_span("entropy_decode");
     if (blocked) {
       // v2: fan the entropy blocks out in parallel up front; the
       // reconstruction sweep below then reads plain indices.
@@ -897,7 +889,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
     }
   }
 
-  obs::Span recon_span("reconstruct", stats ? &stats->reconstruct_s : nullptr);
+  obs::Span recon_span("reconstruct");
   const std::uint32_t radius = intervals / 2;
   std::vector<T> recon(n);
   const std::size_t nz = dims.nd == 3 ? dims[0] : 1;
@@ -949,16 +941,13 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
 }
 
 template std::vector<std::uint8_t> compress<float>(std::span<const float>,
-                                                   Dims, const Params&,
-                                                   StageStats*);
+                                                   Dims, const Params&);
 template std::vector<std::uint8_t> compress<double>(std::span<const double>,
-                                                    Dims, const Params&,
-                                                    StageStats*);
+                                                    Dims, const Params&);
 template std::vector<float> decompress<float>(std::span<const std::uint8_t>,
-                                              Dims*, std::size_t, StageStats*);
+                                              Dims*, std::size_t);
 template std::vector<double> decompress<double>(std::span<const std::uint8_t>,
-                                                Dims*, std::size_t,
-                                                StageStats*);
+                                                Dims*, std::size_t);
 
 }  // namespace sz
 

@@ -132,8 +132,7 @@ TEST(GoldenV2, ZfpTransformedFloatGroupedPayload) {
 
   for (std::size_t threads : {1u, 8u}) {
     Dims dims_out;
-    auto out = transformed_decompress<float>(committed, &dims_out, nullptr,
-                                             threads);
+    auto out = transformed_decompress<float>(committed, &dims_out, threads);
     EXPECT_EQ(dims_out, dims);
     // The same checksum as the serial golden v1 stream.
     EXPECT_EQ(payload_fnv(out), 0xbfda88d7bd4e2887ULL)

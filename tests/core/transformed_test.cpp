@@ -117,19 +117,6 @@ TEST(Transformed, WideDynamicRangeIsWhereItShines) {
   expect_strictly_bounded(data, out, p.rel_bound);
 }
 
-TEST(Transformed, StageTimesPopulated) {
-  auto f = gen::nyx_dark_matter_density(Dims(16, 16, 16), 6);
-  TransformedParams p;
-  p.rel_bound = 1e-2;
-  StageTimes ct{}, dt{};
-  auto stream = transformed_compress<float>(f.span(), f.dims,
-                                            InnerCodec::kSz, p, &ct);
-  auto out = transformed_decompress<float>(stream, nullptr, &dt);
-  EXPECT_GT(ct.pre_seconds, 0.0);
-  EXPECT_GT(dt.post_seconds, 0.0);
-  EXPECT_EQ(out.size(), f.values.size());
-}
-
 TEST(Transformed, DoubleType) {
   Rng rng(7);
   std::vector<double> data(4000);

@@ -79,8 +79,8 @@ TEST(ThreadDeterminism, TransformedSzBytesMatchAndRoundTrip) {
   auto eight = transformed_compress<float>(data, dims, InnerCodec::kSz, tp);
   EXPECT_EQ(eight, one);
   // And the parallel decoder agrees with the serial one.
-  EXPECT_EQ(transformed_decompress<float>(one, nullptr, nullptr, 8),
-            transformed_decompress<float>(one, nullptr, nullptr, 1));
+  EXPECT_EQ(transformed_decompress<float>(one, nullptr, 8),
+            transformed_decompress<float>(one, nullptr, 1));
 }
 
 // --- ZFP block groups ---------------------------------------------------------
@@ -177,7 +177,7 @@ void check_transformed_zfp() {
         return transformed_compress<T>(d, dims, InnerCodec::kZfp, tp);
       },
       [](std::span<const std::uint8_t> s, std::size_t threads) {
-        return transformed_decompress<T>(s, nullptr, nullptr, threads);
+        return transformed_decompress<T>(s, nullptr, threads);
       });
 }
 

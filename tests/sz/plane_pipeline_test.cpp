@@ -119,18 +119,17 @@ void check_szt(const Dims& dims) {
   tp.threads = 1;
   const auto ref =
       transformed_compress<T>(data, dims, InnerCodec::kSz, tp);
-  const auto ref_out = transformed_decompress<T>(ref, nullptr, nullptr, 1);
+  const auto ref_out = transformed_decompress<T>(ref, nullptr, 1);
   for (std::size_t threads : kThreadCounts) {
     tp.threads = threads;
     EXPECT_EQ(transformed_compress<T>(data, dims, InnerCodec::kSz, tp), ref)
         << "threads=" << threads;
     EXPECT_TRUE(same_bits(
-        transformed_decompress<T>(ref, nullptr, nullptr, threads), ref_out))
+        transformed_decompress<T>(ref, nullptr, threads), ref_out))
         << "threads=" << threads;
   }
   EXPECT_TRUE(same_bits(on_pool_worker<std::vector<T>>([&] {
-                          return transformed_decompress<T>(ref, nullptr,
-                                                           nullptr, 8);
+                          return transformed_decompress<T>(ref, nullptr, 8);
                         }),
                         ref_out));
 }

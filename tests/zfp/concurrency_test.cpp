@@ -69,7 +69,7 @@ TEST(ZfpConcurrency, GroupedTransformedCallersOnAndOffThePool) {
   tp.threads = 1;
   const auto ref = transformed_compress<float>(data, dims, InnerCodec::kZfp,
                                                tp);
-  const auto ref_out = transformed_decompress<float>(ref, nullptr, nullptr, 1);
+  const auto ref_out = transformed_decompress<float>(ref, nullptr, 1);
 
   std::atomic<int> mismatches{0};
   run_mixed_callers(3, 3, [&] {
@@ -79,7 +79,7 @@ TEST(ZfpConcurrency, GroupedTransformedCallersOnAndOffThePool) {
       auto stream = transformed_compress<float>(data, dims, InnerCodec::kZfp,
                                                 p);
       if (stream != ref) ++mismatches;
-      if (!same_bits(transformed_decompress<float>(stream, nullptr, nullptr, 0),
+      if (!same_bits(transformed_decompress<float>(stream, nullptr, 0),
                      ref_out))
         ++mismatches;
     }

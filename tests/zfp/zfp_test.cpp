@@ -425,8 +425,9 @@ TEST(ZfpGroups, ManyEncodeWavesGiveTheSameBytes) {
     }
     auto out = zfp::decompress<float>(one, nullptr, 1);
     EXPECT_EQ(zfp::decompress<float>(one, nullptr, 8), out);
-    if (mode == zfp::Mode::kAccuracy)
+    if (mode == zfp::Mode::kAccuracy) {
       EXPECT_LE(max_abs_err<float>(data, out), p.tolerance);
+    }
   }
 }
 
