@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
+#include "common/bytestream.h"
+#include "common/checksum.h"
 #include "common/error.h"
+#include "compat/golden_fields.h"
 #include "data/generators.h"
 #include "metrics/metrics.h"
 
@@ -16,6 +22,77 @@ void expect_bounded(std::span<const float> orig, std::span<const float> dec,
   auto stats = compute_error_stats(orig, dec);
   ASSERT_LE(stats.max_rel, br);
   ASSERT_EQ(stats.modified_zeros, 0u);
+}
+
+// Golden TMP1 sequences: temporal_{sz,zfp}_f32.v1 hold a keyframe and two
+// delta snapshots of a signed, zero-bearing field, each snapshot a sized
+// section. The encoder must reproduce them byte-for-byte (at 1 and 4
+// threads) and the decoder must reconstruct them to the recorded checksum.
+// Regenerate with TRANSPWR_REGEN_GOLDEN=1 after an intentional change.
+std::vector<float> golden_snapshot(int t) {
+  auto v = golden::paraboloid<float>(20, 36);
+  for (auto& x : v) x *= 1.0f + 0.0078125f * static_cast<float>(t);
+  return v;
+}
+
+std::vector<std::uint8_t> golden_sequence(InnerCodec codec,
+                                          std::size_t threads) {
+  TransformedParams p;
+  p.rel_bound = 1e-3;
+  p.threads = threads;
+  TemporalCompressor enc(codec, p);
+  ByteWriter out;
+  for (int t = 0; t < 3; ++t)
+    out.put_sized(enc.compress_snapshot(golden_snapshot(t), Dims(20, 36)));
+  return out.take();
+}
+
+void check_golden(InnerCodec codec, const std::string& name,
+                  std::uint64_t fnv) {
+  const std::string path = std::string(TRANSPWR_GOLDEN_DIR) + "/" + name;
+  auto stream = golden_sequence(codec, 1);
+  EXPECT_EQ(golden_sequence(codec, 4), stream)
+      << "stream bytes depend on the thread count";
+  if (std::getenv("TRANSPWR_REGEN_GOLDEN")) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    std::fwrite(stream.data(), 1, stream.size(), f);
+    std::fclose(f);
+  }
+  std::vector<std::uint8_t> committed;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    int c;
+    while ((c = std::fgetc(f)) != EOF)
+      committed.push_back(static_cast<std::uint8_t>(c));
+    std::fclose(f);
+  }
+  ASSERT_FALSE(committed.empty()) << "missing golden stream " << path;
+  EXPECT_EQ(stream, committed) << "encoder drifted from " << name;
+
+  TemporalDecompressor dec;
+  ByteReader in(committed);
+  std::vector<std::uint8_t> decoded;
+  for (int t = 0; t < 3; ++t) {
+    Dims dims;
+    auto out = dec.decompress_snapshot(in.get_sized(), &dims);
+    EXPECT_EQ(dims, Dims(20, 36));
+    expect_bounded(golden_snapshot(t), out, 1e-3);
+    auto bytes = reinterpret_cast<const std::uint8_t*>(out.data());
+    decoded.insert(decoded.end(), bytes, bytes + out.size() * sizeof(float));
+  }
+  EXPECT_EQ(in.remaining(), 0u);
+  if (std::getenv("TRANSPWR_REGEN_GOLDEN"))
+    std::printf("%s payload fnv: 0x%016llx\n", name.c_str(),
+                static_cast<unsigned long long>(fnv1a64(decoded)));
+  EXPECT_EQ(fnv1a64(decoded), fnv);
+}
+
+TEST(TemporalGolden, SzFloat) {
+  check_golden(InnerCodec::kSz, "temporal_sz_f32.v1", 0x40eec5c189db8479ULL);
+}
+
+TEST(TemporalGolden, ZfpFloat) {
+  check_golden(InnerCodec::kZfp, "temporal_zfp_f32.v1", 0x592d5ffdd58bfc7cULL);
 }
 
 TEST(Temporal, EverySnapshotStrictlyBounded) {
