@@ -1,6 +1,6 @@
+#include <algorithm>
 #include <array>
 #include <cmath>
-#include <utility>
 
 #include "common/error.h"
 #include "core/compressor.h"
@@ -14,257 +14,136 @@
 namespace transpwr {
 namespace {
 
-sz::Params sz_params(const CompressorParams& p, sz::Mode mode) {
-  sz::Params sp;
-  sp.mode = mode;
-  sp.bound = p.bound;
-  sp.quant_intervals = p.quant_intervals;
-  return sp;
-}
-
-/// SZ with a plain absolute bound, or the blockwise PWR baseline.
-class SzCompressor final : public Compressor {
- public:
-  explicit SzCompressor(sz::Mode mode, Scheme scheme)
-      : mode_(mode), scheme_(scheme) {}
-  Scheme scheme() const override { return scheme_; }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return sz::compress<float>(d, dims, sz_params(p, mode_));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return sz::compress<double>(d, dims, sz_params(p, mode_));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return sz::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return sz::decompress<double>(s, dims);
-  }
-
- private:
-  sz::Mode mode_;
-  Scheme scheme_;
-};
-
-/// ZFP in precision mode (the paper's ZFP_P). An explicit -p can be given;
-/// otherwise a bound-derived heuristic close to the paper's hand tuning is
-/// used. Does not strictly respect the relative bound by design.
-class ZfpPrecisionCompressor final : public Compressor {
- public:
-  Scheme scheme() const override { return Scheme::kZfpP; }
-
-  static std::uint32_t pick_precision(const CompressorParams& p) {
-    if (p.zfp_precision) return p.zfp_precision;
-    int bits = static_cast<int>(std::ceil(std::log2(1.0 / p.bound)));
-    return static_cast<std::uint32_t>(std::max(4, bits + 16));
-  }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return zfp::compress<float>(d, dims, make_params(p));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return zfp::compress<double>(d, dims, make_params(p));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return zfp::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return zfp::decompress<double>(s, dims);
-  }
-
- private:
-  static zfp::Params make_params(const CompressorParams& p) {
-    zfp::Params zp;
-    zp.mode = zfp::Mode::kPrecision;
-    zp.precision = pick_precision(p);
-    return zp;
-  }
-};
-
-/// The paper's contribution: SZ_T / ZFP_T.
-class TransformedCompressor final : public Compressor {
- public:
-  explicit TransformedCompressor(InnerCodec codec)
-      : codec_(codec) {}
-  Scheme scheme() const override {
-    return codec_ == InnerCodec::kSz         ? Scheme::kSzT
-           : codec_ == InnerCodec::kSzInterp ? Scheme::kSziT
-                                             : Scheme::kZfpT;
-  }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return transformed_compress<float>(d, dims, codec_, make_params(p));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return transformed_compress<double>(d, dims, codec_, make_params(p));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return transformed_decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return transformed_decompress<double>(s, dims);
-  }
-
- private:
-  static TransformedParams make_params(const CompressorParams& p) {
-    TransformedParams tp;
-    tp.rel_bound = p.bound;
-    tp.log_base = p.log_base;
-    tp.quant_intervals = p.quant_intervals;
-    return tp;
-  }
-
-  InnerCodec codec_;
-};
-
-class FpzipCompressor final : public Compressor {
- public:
-  Scheme scheme() const override { return Scheme::kFpzip; }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    fpzip::Params fp;
-    fp.precision = p.fpzip_precision
-                       ? p.fpzip_precision
-                       : fpzip::precision_for_rel_bound<float>(p.bound);
-    return fpzip::compress<float>(d, dims, fp);
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    fpzip::Params fp;
-    fp.precision = p.fpzip_precision
-                       ? p.fpzip_precision
-                       : fpzip::precision_for_rel_bound<double>(p.bound);
-    return fpzip::compress<double>(d, dims, fp);
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return fpzip::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return fpzip::decompress<double>(s, dims);
-  }
-};
-
-class IsabelaCompressor final : public Compressor {
- public:
-  Scheme scheme() const override { return Scheme::kIsabela; }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return isabela::compress<float>(d, dims, make_params(p));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return isabela::compress<double>(d, dims, make_params(p));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return isabela::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return isabela::decompress<double>(s, dims);
-  }
-
- private:
-  static isabela::Params make_params(const CompressorParams& p) {
-    isabela::Params ip;
-    ip.rel_bound = p.bound;
-    return ip;
-  }
-};
-
 constexpr std::array<Scheme, 8> kAllSchemes = {
     Scheme::kSzAbs, Scheme::kSzPwr, Scheme::kSzT,     Scheme::kZfpP,
     Scheme::kZfpT,  Scheme::kFpzip, Scheme::kIsabela, Scheme::kSziT};
 
-/// Decorator around every registered scheme: roots a per-scheme span
-/// ("compress.SZ_T" / "decompress.SZ_T") over each call and feeds the
-/// codec byte counters, so the CLI and harness report uniformly without
-/// each scheme class carrying its own instrumentation.
-class InstrumentedCompressor final : public Compressor {
+/// ZFP_P: an explicit -p wins; otherwise a bound-derived heuristic close to
+/// the paper's hand tuning. Does not strictly respect the relative bound by
+/// design.
+std::uint32_t zfp_p_precision(const CompressorParams& p) {
+  if (p.zfp_precision) return p.zfp_precision;
+  int bits = static_cast<int>(std::ceil(std::log2(1.0 / p.bound)));
+  return static_cast<std::uint32_t>(std::max(4, bits + 16));
+}
+
+/// Inner codec of the paper's SZ_T / ZFP_T wrapper schemes.
+InnerCodec inner_codec(Scheme scheme) {
+  return scheme == Scheme::kSzT    ? InnerCodec::kSz
+         : scheme == Scheme::kSziT ? InnerCodec::kSzInterp
+                                   : InnerCodec::kZfp;
+}
+
+template <typename T>
+std::vector<std::uint8_t> encode(Scheme scheme, std::span<const T> d,
+                                 Dims dims, const CompressorParams& p) {
+  switch (scheme) {
+    case Scheme::kSzAbs:
+    case Scheme::kSzPwr: {
+      sz::Params sp;
+      sp.mode = scheme == Scheme::kSzAbs ? sz::Mode::kAbs
+                                         : sz::Mode::kPwrBlock;
+      sp.bound = p.bound;
+      sp.quant_intervals = p.quant_intervals;
+      return sz::compress<T>(d, dims, sp);
+    }
+    case Scheme::kSzT:
+    case Scheme::kZfpT:
+    case Scheme::kSziT: {
+      TransformedParams tp;
+      tp.rel_bound = p.bound;
+      tp.log_base = p.log_base;
+      tp.quant_intervals = p.quant_intervals;
+      return transformed_compress<T>(d, dims, inner_codec(scheme), tp);
+    }
+    case Scheme::kZfpP: {
+      zfp::Params zp;
+      zp.mode = zfp::Mode::kPrecision;
+      zp.precision = zfp_p_precision(p);
+      return zfp::compress<T>(d, dims, zp);
+    }
+    case Scheme::kFpzip: {
+      fpzip::Params fp;
+      fp.precision = p.fpzip_precision
+                         ? p.fpzip_precision
+                         : fpzip::precision_for_rel_bound<T>(p.bound);
+      return fpzip::compress<T>(d, dims, fp);
+    }
+    case Scheme::kIsabela: {
+      isabela::Params ip;
+      ip.rel_bound = p.bound;
+      return isabela::compress<T>(d, dims, ip);
+    }
+  }
+  throw ParamError("make_compressor: unknown scheme");
+}
+
+template <typename T>
+std::vector<T> decode(Scheme scheme, std::span<const std::uint8_t> s,
+                      Dims* dims) {
+  switch (scheme) {
+    case Scheme::kSzAbs:
+    case Scheme::kSzPwr:
+      return sz::decompress<T>(s, dims);
+    case Scheme::kSzT:
+    case Scheme::kZfpT:
+    case Scheme::kSziT:
+      return transformed_decompress<T>(s, dims);
+    case Scheme::kZfpP:
+      return zfp::decompress<T>(s, dims);
+    case Scheme::kFpzip:
+      return fpzip::decompress<T>(s, dims);
+    case Scheme::kIsabela:
+      return isabela::decompress<T>(s, dims);
+  }
+  throw ParamError("make_compressor: unknown scheme");
+}
+
+/// Every registered scheme: roots a per-scheme span ("compress.SZ_T" /
+/// "decompress.SZ_T") over each call and feeds the codec byte counters,
+/// so the CLI and harness report uniformly.
+class SchemeCompressor final : public Compressor {
  public:
-  explicit InstrumentedCompressor(std::unique_ptr<Compressor> inner)
-      : inner_(std::move(inner)),
-        compress_label_(std::string("compress.") +
-                        scheme_name(inner_->scheme())),
-        decompress_label_(std::string("decompress.") +
-                          scheme_name(inner_->scheme())) {}
-  Scheme scheme() const override { return inner_->scheme(); }
+  explicit SchemeCompressor(Scheme scheme)
+      : scheme_(scheme),
+        compress_label_(std::string("compress.") + scheme_name(scheme)),
+        decompress_label_(std::string("decompress.") + scheme_name(scheme)) {}
+  Scheme scheme() const override { return scheme_; }
 
   std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
                                      const CompressorParams& p) override {
-    obs::Span span(compress_label_);
-    auto out = inner_->compress(d, dims, p);
-    note_compressed(d.size_bytes(), out.size());
-    return out;
+    return compress_as<float>(d, dims, p);
   }
   std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
                                      const CompressorParams& p) override {
-    obs::Span span(compress_label_);
-    auto out = inner_->compress(d, dims, p);
-    note_compressed(d.size_bytes(), out.size());
-    return out;
+    return compress_as<double>(d, dims, p);
   }
   std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
                                     Dims* dims) override {
     obs::Span span(decompress_label_);
-    return inner_->decompress_f32(s, dims);
+    return decode<float>(scheme_, s, dims);
   }
   std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
                                      Dims* dims) override {
     obs::Span span(decompress_label_);
-    return inner_->decompress_f64(s, dims);
+    return decode<double>(scheme_, s, dims);
   }
 
  private:
-  static void note_compressed(std::size_t in_bytes, std::size_t out_bytes) {
-    obs::counter_add("codec.bytes_in", in_bytes);
-    obs::counter_add("codec.bytes_out", out_bytes);
+  template <typename T>
+  std::vector<std::uint8_t> compress_as(std::span<const T> d, Dims dims,
+                                        const CompressorParams& p) {
+    obs::Span span(compress_label_);
+    auto out = encode<T>(scheme_, d, dims, p);
+    obs::counter_add("codec.bytes_in", d.size_bytes());
+    obs::counter_add("codec.bytes_out", out.size());
+    return out;
   }
 
-  std::unique_ptr<Compressor> inner_;
+  Scheme scheme_;
   std::string compress_label_;
   std::string decompress_label_;
 };
-
-std::unique_ptr<Compressor> make_plain_compressor(Scheme scheme) {
-  switch (scheme) {
-    case Scheme::kSzAbs:
-      return std::make_unique<SzCompressor>(sz::Mode::kAbs, Scheme::kSzAbs);
-    case Scheme::kSzPwr:
-      return std::make_unique<SzCompressor>(sz::Mode::kPwrBlock,
-                                            Scheme::kSzPwr);
-    case Scheme::kSzT:
-      return std::make_unique<TransformedCompressor>(InnerCodec::kSz);
-    case Scheme::kZfpP:
-      return std::make_unique<ZfpPrecisionCompressor>();
-    case Scheme::kZfpT:
-      return std::make_unique<TransformedCompressor>(InnerCodec::kZfp);
-    case Scheme::kFpzip:
-      return std::make_unique<FpzipCompressor>();
-    case Scheme::kIsabela:
-      return std::make_unique<IsabelaCompressor>();
-    case Scheme::kSziT:
-      return std::make_unique<TransformedCompressor>(InnerCodec::kSzInterp);
-  }
-  throw ParamError("make_compressor: unknown scheme");
-}
 
 }  // namespace
 
@@ -297,8 +176,10 @@ Scheme scheme_from_name(const std::string& name) {
 }
 
 std::unique_ptr<Compressor> make_compressor(Scheme scheme) {
-  return std::make_unique<InstrumentedCompressor>(
-      make_plain_compressor(scheme));
+  if (std::find(kAllSchemes.begin(), kAllSchemes.end(), scheme) ==
+      kAllSchemes.end())
+    throw ParamError("make_compressor: unknown scheme");
+  return std::make_unique<SchemeCompressor>(scheme);
 }
 
 std::span<const Scheme> all_schemes() { return kAllSchemes; }

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/bytestream.h"
 #include "common/checksum.h"
@@ -186,6 +188,79 @@ TEST(Temporal, ZfpInnerCodecWorksToo) {
         enc.compress_snapshot(snap.span(), snap.dims));
     expect_bounded(snap.span(), out, br);
     snap = gen::evolve(snap, 300 + static_cast<std::uint64_t>(t));
+  }
+}
+
+// TMP1: magic(4) dtype codec delta signs base(8) zero_threshold(8), then
+// the sized sign section and the sized inner stream.
+std::uint32_t inner_magic(std::span<const std::uint8_t> stream) {
+  ByteReader in(stream);
+  in.get_bytes(24);
+  in.get_sized();
+  ByteReader inner(in.get_sized());
+  return inner.get<std::uint32_t>();
+}
+
+TEST(Temporal, SzInterpInnerCodecCarriesAnInterpPayload) {
+  const double br = 1e-2;
+  TransformedParams p;
+  p.rel_bound = br;
+  TemporalCompressor enc(InnerCodec::kSzInterp, p);
+  TemporalDecompressor dec;
+  auto snap = gen::nyx_velocity(Dims(10, 12, 14), 11);
+  for (int t = 0; t < 3; ++t) {
+    SCOPED_TRACE(t);
+    auto stream = enc.compress_snapshot(snap.span(), snap.dims);
+    ASSERT_GT(stream.size(), 6u);
+    EXPECT_EQ(stream[5], static_cast<std::uint8_t>(InnerCodec::kSzInterp));
+    EXPECT_EQ(inner_magic(stream), 0x31495A53u) << "inner stream is not SZI1";
+    Dims dims;
+    expect_bounded(snap.span(), dec.decompress_snapshot(stream, &dims), br);
+    EXPECT_EQ(dims, snap.dims);
+    snap = gen::evolve(snap, 700 + static_cast<std::uint64_t>(t));
+  }
+}
+
+TEST(Temporal, InnerMagicMatchesTheCodecByte) {
+  TransformedParams p;
+  p.rel_bound = 1e-2;
+  auto snap = gen::cesm_cloud_fraction(Dims(16, 16), 12);
+  const std::pair<InnerCodec, std::uint32_t> cases[] = {
+      {InnerCodec::kSz, 0x315A5354u},  // "TSZ1"
+      {InnerCodec::kZfp, 0x31504654u},  // "TFP1"
+      {InnerCodec::kSzInterp, 0x31495A53u}};  // "SZI1"
+  for (auto [codec, magic] : cases) {
+    TemporalCompressor enc(codec, p);
+    auto key = enc.compress_snapshot(snap.span(), snap.dims);
+    auto delta = enc.compress_snapshot(snap.span(), snap.dims);
+    EXPECT_EQ(inner_magic(key), magic);
+    EXPECT_EQ(inner_magic(delta), magic);
+  }
+}
+
+TEST(Temporal, HostileHeadersAreStreamErrors) {
+  TransformedParams p;
+  p.rel_bound = 1e-2;
+  TemporalCompressor enc(InnerCodec::kSz, p);
+  auto snap = gen::nyx_velocity(Dims(8, 8, 8), 13);
+  const auto key = enc.compress_snapshot(snap.span(), snap.dims);
+
+  // The log base (offset 8) must be finite and > 1, as in TRT1.
+  for (double base : {0.5, 1.0, -2.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(base);
+    auto bad = key;
+    std::memcpy(bad.data() + 8, &base, sizeof base);
+    TemporalDecompressor dec;
+    EXPECT_THROW(dec.decompress_snapshot(bad), StreamError);
+  }
+  // Codec byte (offset 5): 2 names SZ-interp, which this SZ payload is
+  // not; anything above 2 names no codec at all.
+  for (std::uint8_t codec : {2, 3, 99, 255}) {
+    SCOPED_TRACE(int(codec));
+    auto bad = key;
+    bad[5] = codec;
+    TemporalDecompressor dec;
+    EXPECT_THROW(dec.decompress_snapshot(bad), StreamError);
   }
 }
 
