@@ -59,6 +59,20 @@ void check_decode_alloc(std::size_t count, std::size_t elem_size,
   }
 }
 
+Dims read_dims(int nd, ByteReader& in, const char* what) {
+  Dims dims;
+  dims.nd = nd;
+  for (auto& d : dims.d) d = static_cast<std::size_t>(in.get<std::uint64_t>());
+  if (nd < 1 || nd > 3)
+    throw StreamError(std::string(what) +
+                      ": dimension count must be 1, 2 or 3");
+  for (int i = 0; i < nd; ++i)
+    if (dims[i] == 0)
+      throw StreamError(std::string(what) + ": zero-sized dimension");
+  checked_count(dims, what);
+  return dims;
+}
+
 std::size_t checked_count(const Dims& dims, const char* what) {
   dims.validate();
   std::size_t n = 1;

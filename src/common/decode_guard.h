@@ -3,6 +3,7 @@
 
 #include <cstddef>
 
+#include "common/bytestream.h"
 #include "common/types.h"
 
 namespace transpwr {
@@ -38,9 +39,16 @@ class ScopedDecodeLimit {
 void check_decode_alloc(std::size_t count, std::size_t elem_size,
                         const char* what);
 
-/// Overflow-checked Dims::count() for header-supplied shapes: validates the
-/// dims and throws StreamError if the element count product wraps.
+/// Overflow-checked Dims::count() for caller-supplied shapes: validates the
+/// dims (ParamError) and throws StreamError if the element count product
+/// wraps.
 std::size_t checked_count(const Dims& dims, const char* what);
+
+/// Read the 3 x u64 dimension words that follow a stream header's `nd`
+/// byte. A header is stream data, so an nd outside 1-3, a zero used
+/// dimension or an overflowing element count is a StreamError; the
+/// returned dims' count() is safe to use.
+Dims read_dims(int nd, ByteReader& in, const char* what);
 
 }  // namespace transpwr
 

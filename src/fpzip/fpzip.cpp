@@ -265,12 +265,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
     throw StreamError("fpzip: unknown entropy byte");
   auto entropy = static_cast<Entropy>(entropy_byte);
   std::uint32_t precision = in.get<std::uint32_t>();
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  const std::size_t n = checked_count(dims, "fpzip");
+  const Dims dims = read_dims(nd, in, "fpzip");
+  const std::size_t n = dims.count();
   check_decode_alloc(n, sizeof(T), "fpzip");
   if (dims_out) *dims_out = dims;
 

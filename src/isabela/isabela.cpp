@@ -192,12 +192,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
     throw StreamError("isabela: unknown fit byte");
   auto fit = static_cast<Fit>(fit_byte);
   in.get<std::uint8_t>();
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  const std::size_t n = checked_count(dims, "isabela");
+  const Dims dims = read_dims(nd, in, "isabela");
+  const std::size_t n = dims.count();
   check_decode_alloc(n, sizeof(T), "isabela");
   double br = in.get<double>();
   std::uint32_t W = in.get<std::uint32_t>();

@@ -15,16 +15,6 @@ namespace {
 /// by the decode guard like any other untrusted stream.
 std::size_t response_cap() { return max_decode_bytes(); }
 
-Dims get_dims(ByteReader& in) {
-  Dims dims;
-  dims.nd = in.get<std::uint8_t>();
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  dims.validate();
-  return dims;
-}
-
 }  // namespace
 
 Client::Client(const std::string& host, std::uint16_t port)
@@ -89,7 +79,7 @@ std::vector<RemoteDataset> Client::stat(const std::string& archive) {
     ds.name = get_string(in);
     ds.dtype = static_cast<DataType>(in.get<std::uint8_t>());
     ds.scheme = static_cast<Scheme>(in.get<std::uint8_t>());
-    ds.dims = get_dims(in);
+    ds.dims = read_dims(in.get<std::uint8_t>(), in, "tprq1");
     ds.bound = in.get<double>();
     ds.log_base = in.get<double>();
     ds.chunks = in.get<std::uint64_t>();
@@ -105,12 +95,11 @@ RemotePayload Client::parse_payload(std::span<const std::uint8_t> body) {
   ByteReader in(body);
   RemotePayload p;
   p.dtype = static_cast<DataType>(in.get<std::uint8_t>());
-  p.dims = get_dims(in);
+  p.dims = read_dims(in.get<std::uint8_t>(), in, "tprq1");
   auto payload = in.get_sized();
   if (in.remaining() != 0)
     throw StreamError("tprq1: trailing bytes in payload response");
-  if (payload.size() != checked_count(p.dims, "tprq1 payload") *
-                            size_of(p.dtype))
+  if (payload.size() != p.dims.count() * size_of(p.dtype))
     throw StreamError("tprq1: payload size does not match its dims");
   p.bytes.assign(payload.begin(), payload.end());
   return p;

@@ -127,17 +127,9 @@ Header read_header(std::span<const std::uint8_t> stream) {
   Header h;
   h.dtype = static_cast<DataType>(dtype_byte);
   h.scheme = static_cast<Scheme>(scheme_byte);
-  h.dims.nd = in.get<std::uint8_t>();
+  const int nd = in.get<std::uint8_t>();
   in.get<std::uint8_t>();
-  for (int i = 0; i < 3; ++i)
-    h.dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  // Dims::validate() would throw ParamError; a header is stream data.
-  if (h.dims.nd < 1 || h.dims.nd > 3)
-    throw StreamError("chunked: dimension count must be 1, 2 or 3");
-  for (int i = 0; i < h.dims.nd; ++i)
-    if (h.dims[i] == 0) throw StreamError("chunked: zero-sized dimension");
-  checked_count(h.dims, "chunked");
+  h.dims = read_dims(nd, in, "chunked");
   auto num_slabs = in.get<std::uint32_t>();
   // Each slab needs at least its 8-byte row count in the stream.
   if (num_slabs == 0 || num_slabs > h.dims[0] ||

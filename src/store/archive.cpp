@@ -152,12 +152,9 @@ std::vector<DatasetInfo> parse_directory(std::span<const std::uint8_t> footer,
     if (scheme > static_cast<std::uint8_t>(Scheme::kSziT))
       throw StreamError("archive: unknown scheme byte");
     ds.scheme = static_cast<Scheme>(scheme);
-    ds.dims.nd = in.get<std::uint8_t>();
+    const int nd = in.get<std::uint8_t>();
     in.get<std::uint8_t>();
-    for (int i = 0; i < 3; ++i)
-      ds.dims.d[static_cast<std::size_t>(i)] =
-          static_cast<std::size_t>(in.get<std::uint64_t>());
-    checked_count(ds.dims, "archive");
+    ds.dims = read_dims(nd, in, "archive");
     ds.bound = in.get<double>();
     ds.log_base = in.get<double>();
     auto nchunks = in.get<std::uint32_t>();

@@ -182,12 +182,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   const bool lz_applied = codes_format & kCodesLz;
   const bool blocked = codes_format & kCodesBlocked;
   bool cubic = in.get<std::uint8_t>() != 0;
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  const std::size_t n = checked_count(dims, "sz_interp");
+  const Dims dims = read_dims(nd, in, "sz_interp");
+  const std::size_t n = dims.count();
   check_decode_alloc(n, sizeof(T), "sz_interp");
   double eb = in.get<double>();
   std::uint32_t intervals = in.get<std::uint32_t>();

@@ -808,12 +808,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   if (pred_byte > static_cast<std::uint8_t>(Predictor::kAuto))
     throw StreamError("sz: unknown predictor byte");
   auto predictor = static_cast<Predictor>(pred_byte);
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  const std::size_t n = checked_count(dims, "sz");
+  const Dims dims = read_dims(nd, in, "sz");
+  const std::size_t n = dims.count();
   check_decode_alloc(n, sizeof(T), "sz");
   double bound = in.get<double>();
   std::uint32_t intervals = in.get<std::uint32_t>();

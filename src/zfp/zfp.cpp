@@ -523,7 +523,7 @@ Header read_header(ByteReader& in) {
   if (dtype != data_type_of<T>())
     throw StreamError("zfp: stream data type does not match requested type");
   Header h;
-  h.dims.nd = in.get<std::uint8_t>();
+  const int nd = in.get<std::uint8_t>();
   std::uint8_t mode_byte = in.get<std::uint8_t>();
   if (mode_byte > static_cast<std::uint8_t>(Mode::kRate))
     throw StreamError("zfp: unknown mode byte");
@@ -534,10 +534,8 @@ Header read_header(ByteReader& in) {
   // Fixed-rate blocks sit at implicit offsets; they never need a directory.
   if (h.layout == kLayoutGrouped && h.mode == Mode::kRate)
     throw StreamError("zfp: fixed-rate stream with a group directory");
-  for (int i = 0; i < 3; ++i)
-    h.dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  h.count = checked_count(h.dims, "zfp");
+  h.dims = read_dims(nd, in, "zfp");
+  h.count = h.dims.count();
   h.tolerance = in.get<double>();
   h.precision = in.get<std::uint32_t>();
   h.rate = in.get<double>();

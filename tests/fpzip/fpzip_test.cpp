@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -165,6 +166,15 @@ TEST(Fpzip, CorruptStreamThrows) {
   bad[0] ^= 0xff;
   EXPECT_THROW(fpzip::decompress<float>(bad), StreamError);
   EXPECT_THROW(fpzip::decompress<double>(stream), StreamError);
+  // A hostile header shape is stream data: StreamError, not ParamError.
+  for (std::uint8_t nd : {0, 4, 9}) {
+    auto bad_nd = stream;
+    bad_nd[5] = nd;
+    EXPECT_THROW(fpzip::decompress<float>(bad_nd), StreamError) << int(nd);
+  }
+  auto zero_dim = stream;
+  std::fill_n(zero_dim.begin() + 11, 8, std::uint8_t{0});
+  EXPECT_THROW(fpzip::decompress<float>(zero_dim), StreamError);
 }
 
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytestream.h"
@@ -748,6 +749,44 @@ TEST_F(ServeLoopback, ShutdownOpDrainsTheServer) {
   EXPECT_TRUE(server_->stopping());
   // A stopped server refuses new connections.
   EXPECT_THROW(net::Client("127.0.0.1", server_->port()), Error);
+}
+
+// The client reads response dims as stream data: a scripted TPRQ1 peer
+// answers the connect-time ping, then answers a load with a payload body
+// whose header shape is hostile. Each must be a StreamError.
+TEST(ClientResponses, HostilePayloadDimsAreStreamErrors) {
+  auto load_with_reply = [](std::uint8_t nd, std::uint64_t d0) {
+    ByteWriter reply;
+    reply.put(static_cast<std::uint8_t>(DataType::kFloat32));
+    reply.put(nd);
+    reply.put(d0);
+    reply.put<std::uint64_t>(1);
+    reply.put<std::uint64_t>(1);
+    reply.put_sized(std::vector<std::uint8_t>(4 * d0));
+    const auto load_reply = reply.take();
+    net::Listener listener(0);
+    std::thread peer([&] {
+      net::Socket sock = listener.accept();
+      net::Frame f;
+      while (net::read_frame(sock, 1u << 20, 5000, -1, &f)) {
+        std::vector<std::uint8_t> echo(net::kMagic, net::kMagic + 5);
+        echo.insert(echo.end(), f.body.begin(), f.body.end());
+        const bool ping = f.op == static_cast<std::uint16_t>(net::Op::kPing);
+        net::write_frame(sock, net::encode_frame(f.op, 0, f.seq,
+                                                 ping ? echo : load_reply));
+      }
+    });
+    struct Join {
+      std::thread& t;
+      ~Join() { t.join(); }
+    } join{peer};
+    net::Client client("127.0.0.1", listener.port());
+    return client.load("a.tpar", "f");
+  };
+  EXPECT_EQ(load_with_reply(1, 3).dims, Dims(3));
+  EXPECT_THROW(load_with_reply(9, 1), StreamError);
+  EXPECT_THROW(load_with_reply(0, 1), StreamError);
+  EXPECT_THROW(load_with_reply(1, 0), StreamError);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/error.h"
 #include "data/generators.h"
 #include "data/io.h"
@@ -251,6 +254,49 @@ TEST(ArchiveCorruption, ShapeLieIsRejected) {
   ArchiveReader r(buf);
   r.verify();  // checksums are fine — the lie is in the metadata
   EXPECT_THROW(r.load<float>("v", nullptr, 1), StreamError);
+}
+
+// The footer's dataset shape is stream data too: behind a valid footer
+// checksum, an nd outside 1-3 or a zero dimension is a StreamError.
+TEST(ArchiveCorruption, HostileFooterDimsAreStreamErrors) {
+  auto f = gen::hacc_velocity(32, 23);
+  std::vector<std::uint8_t> buf;
+  {
+    ArchiveWriter w(&buf);
+    DatasetOptions opts;
+    opts.scheme = Scheme::kSzAbs;
+    opts.params.bound = 1.0;
+    opts.threads = 1;
+    w.add_dataset<float>("v", f.span(), f.dims, opts);
+    w.finish();
+  }
+  // Trailer: u64 footer fnv, u64 footer size, end magic. Footer: u32
+  // count, then for "v": u16 name length, name, dtype, scheme, nd at 9,
+  // a reserved byte, 3 x u64 dims at 11.
+  std::uint64_t footer_size = 0;
+  std::memcpy(&footer_size, buf.data() + buf.size() - 12, 8);
+  const std::size_t footer =
+      buf.size() - 20 - static_cast<std::size_t>(footer_size);
+  auto resealed = [&](std::vector<std::uint8_t> t) {
+    const std::uint64_t sum = fnv1a64(
+        {t.data() + footer, static_cast<std::size_t>(footer_size)});
+    std::memcpy(t.data() + t.size() - 20, &sum, 8);
+    return t;
+  };
+  ArchiveReader(std::span<const std::uint8_t>(resealed(buf))).verify();
+  for (std::uint8_t nd : {0, 4, 9}) {
+    auto bad = buf;
+    bad[footer + 9] = nd;
+    EXPECT_THROW(ArchiveReader{std::span<const std::uint8_t>(resealed(bad))},
+                 StreamError)
+        << int(nd);
+  }
+  auto zero_dim = buf;
+  std::fill_n(zero_dim.begin() + static_cast<std::ptrdiff_t>(footer) + 11, 8,
+              std::uint8_t{0});
+  EXPECT_THROW(
+      ArchiveReader{std::span<const std::uint8_t>(resealed(zero_dim))},
+      StreamError);
 }
 
 }  // namespace

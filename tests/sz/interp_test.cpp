@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -148,6 +149,15 @@ TEST(SzInterp, InvalidParamsAndStreams) {
   bad[0] ^= 0xff;
   EXPECT_THROW(sz_interp::decompress<float>(bad), StreamError);
   EXPECT_THROW(sz_interp::decompress<double>(stream), StreamError);
+  // A hostile header shape is stream data: StreamError, not ParamError.
+  for (std::uint8_t nd : {0, 4, 9}) {
+    auto bad_nd = stream;
+    bad_nd[5] = nd;
+    EXPECT_THROW(sz_interp::decompress<float>(bad_nd), StreamError) << int(nd);
+  }
+  auto zero_dim = stream;
+  std::fill_n(zero_dim.begin() + 8, 8, std::uint8_t{0});
+  EXPECT_THROW(sz_interp::decompress<float>(zero_dim), StreamError);
 }
 
 class SzInterpSweep

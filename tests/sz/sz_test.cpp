@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -233,6 +234,15 @@ TEST(SzErrors, CorruptStreamsThrow) {
   auto cut = stream;
   cut.resize(cut.size() / 3);
   EXPECT_THROW(sz::decompress<float>(cut), StreamError);
+  // A hostile header shape is stream data: StreamError, not ParamError.
+  for (std::uint8_t nd : {0, 4, 9}) {
+    auto bad_nd = stream;
+    bad_nd[5] = nd;
+    EXPECT_THROW(sz::decompress<float>(bad_nd), StreamError) << int(nd);
+  }
+  auto zero_dim = stream;
+  std::fill_n(zero_dim.begin() + 9, 8, std::uint8_t{0});
+  EXPECT_THROW(sz::decompress<float>(zero_dim), StreamError);
 }
 
 
