@@ -1,6 +1,7 @@
 #ifndef TRANSPWR_LOSSLESS_BLOCKED_HUFFMAN_H
 #define TRANSPWR_LOSSLESS_BLOCKED_HUFFMAN_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,9 +25,9 @@ namespace lossless {
 ///   u32 block count, sized code-length table, u64 substream byte size per
 ///   block, concatenated substreams.
 
-/// Symbols per block: `TRANSPWR_ENTROPY_BLOCK` (env var, clamped to
-/// [4096, 2^24]) when set, else 1 << 17. Read once per process.
-std::size_t entropy_block_symbols();
+/// Symbols per block the encoders write. Decoders read the block size
+/// from the stream.
+inline constexpr std::size_t kEntropyBlockSymbols = std::size_t{1} << 17;
 
 /// Encode `symbols` over alphabet [0, alphabet). `threads == 0` uses
 /// default_threads(); any thread count produces identical bytes.

@@ -285,7 +285,7 @@ std::vector<std::uint8_t> compress_blocked(std::span<const std::uint8_t> input,
   dist.write_table(tables_bw);
   std::vector<std::uint8_t> table_bytes = tables_bw.take();
 
-  const std::size_t block = lossless::entropy_block_symbols();
+  const std::size_t block = lossless::kEntropyBlockSymbols;
   const std::size_t nblocks = toks.empty() ? 0 : (toks.size() - 1) / block + 1;
   std::vector<std::vector<std::uint8_t>> subs(nblocks);
   ParallelOptions opts;

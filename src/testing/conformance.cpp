@@ -39,24 +39,6 @@ void add_violation(const CaseContext& c, const std::string& kind,
   c.report->violations.push_back(v);
 }
 
-Dims shape_for(std::size_t n, std::size_t variant) {
-  Dims d;
-  if (variant % 3 == 0 || n < 64) {
-    d.nd = 1;
-    d.d[0] = n;
-  } else if (variant % 3 == 1) {
-    d.nd = 2;
-    d.d[0] = n / 16;
-    d.d[1] = 16;
-  } else {
-    d.nd = 3;
-    d.d[0] = n / 64;
-    d.d[1] = 8;
-    d.d[2] = 8;
-  }
-  return d;
-}
-
 /// Pointwise value checks for one finished round trip, judged against the
 /// shared oracle (testing/oracle.h) the hunter uses too.
 template <typename T>

@@ -7,6 +7,7 @@
 #include "common/checksum.h"
 #include "common/error.h"
 #include "core/compressor.h"
+#include "core/temporal.h"
 #include "core/transformed.h"
 #include "data/io.h"
 #include "fpzip/fpzip.h"
@@ -229,6 +230,16 @@ std::vector<CorpusCase> build_cases() {
     patch_f64(bad_base, 8, 0.5);
     cases.push_back({"transformed_bad_log_base", std::move(bad_base)});
   }
+  {  // temporal keyframe (TMP1): inner codec byte at 5, log base at 8.
+    TemporalCompressor enc(InnerCodec::kSz, TransformedParams{});
+    auto s = enc.compress_snapshot(field, d1);
+    auto bad_codec = s;
+    patch(bad_codec, 5, {99});
+    cases.push_back({"temporal_bad_codec_byte", std::move(bad_codec)});
+    auto bad_base = s;
+    patch_f64(bad_base, 8, 0.5);
+    cases.push_back({"temporal_bad_log_base", std::move(bad_base)});
+  }
   {  // chunked header: scheme byte at 5, first slab row count u64 at 36.
     chunked::Params p;
     p.scheme = Scheme::kSzAbs;
@@ -359,6 +370,8 @@ void decode_corpus_stream(const std::string& name,
     isabela::decompress<float>(stream);
   } else if (starts_with(name, "transformed_")) {
     transformed_decompress<float>(stream);
+  } else if (starts_with(name, "temporal_")) {
+    TemporalDecompressor().decompress_snapshot(stream);
   } else if (starts_with(name, "chunked_")) {
     chunked::decompress<float>(stream, nullptr, 1);
   } else if (starts_with(name, "archive_")) {

@@ -14,7 +14,8 @@ namespace testing {
 /// rejected with a clean transpwr::Error (bad mode bytes, zero block
 /// edges, overflowing dims, giant declared sizes, oversized slab tables,
 /// non-finite stream parameters...). The file-name prefix selects the
-/// decoder (`sz_`, `zfp_`, `transformed_`, `chunked_`, `lz77_`, ...).
+/// decoder (`sz_`, `zfp_`, `transformed_`, `temporal_`, `chunked_`, `lz77_`,
+/// ...).
 struct CorpusCase {
   std::string name;  ///< file stem; prefix routes to the decoder
   std::vector<std::uint8_t> stream;

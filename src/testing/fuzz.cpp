@@ -14,6 +14,7 @@
 #include "common/decode_guard.h"
 #include "common/error.h"
 #include "core/compressor.h"
+#include "core/temporal.h"
 #include "lossless/blocked_huffman.h"
 #include "lossless/lossless.h"
 #include "lossless/lz77.h"
@@ -192,6 +193,34 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
     t.corpus = {chunked::compress<float>(data, dims, p)};
     t.decode = [](std::span<const std::uint8_t> s) {
       chunked::decompress<float>(s, nullptr, 1);
+    };
+    targets.push_back(std::move(t));
+  }
+  {
+    FuzzTarget t;
+    t.name = "temporal";
+    // Corpus: a keyframe and a delta per inner codec, of a signed field
+    // whose second snapshot moves 1%. Every mutant is decoded after the
+    // pristine SZ keyframe, so mutated keyframes reach the keyframe path
+    // and mutated deltas the delta path.
+    TransformedParams p;
+    p.rel_bound = 1e-2;
+    p.threads = 1;
+    const Dims dims(12, 8);
+    auto first =
+        make_field<float>(Family::kSignAlternating, dims.count(), seed);
+    auto second = first;
+    for (auto& v : second) v *= 1.01f;
+    for (InnerCodec codec :
+         {InnerCodec::kSz, InnerCodec::kZfp, InnerCodec::kSzInterp}) {
+      TemporalCompressor enc(codec, p);
+      t.corpus.push_back(enc.compress_snapshot(first, dims));
+      t.corpus.push_back(enc.compress_snapshot(second, dims));
+    }
+    t.decode = [key = t.corpus.front()](std::span<const std::uint8_t> s) {
+      TemporalDecompressor dec;
+      dec.decompress_snapshot(key);
+      dec.decompress_snapshot(s);
     };
     targets.push_back(std::move(t));
   }

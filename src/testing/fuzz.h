@@ -50,8 +50,9 @@ struct FuzzTarget {
   std::function<void(std::span<const std::uint8_t>)> decode;
 };
 
-/// One target per registered scheme and precision, plus the lossless
-/// substrate (lossless container, lz77, rle) and the chunked container.
+/// One target per registered scheme and precision, plus the temporal
+/// codec, the lossless substrate (lossless container, lz77, rle) and the
+/// chunked container.
 std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed);
 
 /// One deterministic mutation of `base` (never returns `base` unchanged

@@ -242,6 +242,24 @@ template std::vector<float> make_field<float>(Family, std::size_t,
 template std::vector<double> make_field<double>(Family, std::size_t,
                                                 std::uint64_t);
 
+Dims shape_for(std::size_t n, std::size_t variant) {
+  Dims d;
+  if (variant % 3 == 0 || n < 64) {
+    d.nd = 1;
+    d.d[0] = n;
+  } else if (variant % 3 == 1) {
+    d.nd = 2;
+    d.d[0] = n / 16;
+    d.d[1] = 16;
+  } else {
+    d.nd = 3;
+    d.d[0] = n / 64;
+    d.d[1] = 8;
+    d.d[2] = 8;
+  }
+  return d;
+}
+
 std::uint64_t effective_seed(std::uint64_t fallback) {
   env::U64Range any;
   any.min = 0;

@@ -47,6 +47,11 @@ bool family_is_finite(Family f);
 template <typename T>
 std::vector<T> make_field(Family family, std::size_t n, std::uint64_t seed);
 
+/// The shape a harness gives an n-point field: `variant` cycles through
+/// 1-D, 2-D (rows of 16) and 3-D (planes of 8 x 8), truncating n to whole
+/// rows or planes; fields under 64 points stay 1-D.
+Dims shape_for(std::size_t n, std::size_t variant);
+
 /// The root seed a harness run should use: TRANSPWR_SEED when set in the
 /// environment (checked parse via common/env.h; malformed values warn once
 /// and fall back), else `fallback`. Every harness prints the seed it

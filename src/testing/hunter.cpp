@@ -55,24 +55,6 @@ std::string triple_key(const std::string& scheme, const char* precision,
   return os.str();
 }
 
-Dims shape_for(std::size_t n, std::size_t variant) {
-  Dims d;
-  if (variant % 3 == 0 || n < 64) {
-    d.nd = 1;
-    d.d[0] = n;
-  } else if (variant % 3 == 1) {
-    d.nd = 2;
-    d.d[0] = n / 16;
-    d.d[1] = 16;
-  } else {
-    d.nd = 3;
-    d.d[0] = n / 64;
-    d.d[1] = 8;
-    d.d[2] = 8;
-  }
-  return d;
-}
-
 // --- round-trip engine -------------------------------------------------------
 
 template <typename T>

@@ -50,43 +50,6 @@ int precision_slack(int nd) { return 2 * (nd + 1) + 1; }
 // --- lifted transform (ZFP's non-orthogonal 4-point lift) -----------------
 
 template <typename Int>
-void fwd_lift(Int* p, std::size_t s) {
-  Int x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
-  x += w; x >>= 1; w -= x;
-  z += y; z >>= 1; y -= z;
-  x += z; x >>= 1; z -= x;
-  w += y; w >>= 1; y -= w;
-  w += y >> 1; y -= w >> 1;
-  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
-}
-
-template <typename Int>
-void inv_lift(Int* p, std::size_t s) {
-  // A corrupt stream can hand the inverse transform arbitrary
-  // coefficients, so the additive steps run in the unsigned domain where
-  // overflow wraps instead of being undefined. Valid streams keep
-  // coefficients within intprec-2 bits (see fwd_cast), where wrapping and
-  // signed arithmetic agree bit-for-bit.
-  using U = std::make_unsigned_t<Int>;
-  auto add = [](Int a, Int b) {
-    return static_cast<Int>(static_cast<U>(a) + static_cast<U>(b));
-  };
-  auto sub = [](Int a, Int b) {
-    return static_cast<Int>(static_cast<U>(a) - static_cast<U>(b));
-  };
-  auto shl1 = [](Int a) {
-    return static_cast<Int>(static_cast<U>(a) << 1);
-  };
-  Int x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
-  y = add(y, w >> 1); w = sub(w, y >> 1);
-  y = add(y, w); w = shl1(w); w = sub(w, y);
-  z = add(z, x); x = shl1(x); x = sub(x, z);
-  y = add(y, z); z = shl1(z); z = sub(z, y);
-  w = add(w, x); x = shl1(x); x = sub(x, w);
-  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
-}
-
-template <typename Int>
 void fwd_xform(Int* b, int nd) {
   // The kernel-layer block transform is the same exact integer arithmetic
   // restructured into lane-parallel passes, so both dispatches produce
@@ -95,21 +58,22 @@ void fwd_xform(Int* b, int nd) {
     kernels::zfp_fwd_xform_block(b, nd);
     return;
   }
+  using kernels::zfp_fwd_lift4;
   switch (nd) {
     case 1:
-      fwd_lift(b, 1);
+      zfp_fwd_lift4(b, 1);
       break;
     case 2:
-      for (int y = 0; y < 4; ++y) fwd_lift(b + 4 * y, 1);
-      for (int x = 0; x < 4; ++x) fwd_lift(b + x, 4);
+      for (int y = 0; y < 4; ++y) zfp_fwd_lift4(b + 4 * y, 1);
+      for (int x = 0; x < 4; ++x) zfp_fwd_lift4(b + x, 4);
       break;
     default:
       for (int z = 0; z < 4; ++z)
-        for (int y = 0; y < 4; ++y) fwd_lift(b + 16 * z + 4 * y, 1);
+        for (int y = 0; y < 4; ++y) zfp_fwd_lift4(b + 16 * z + 4 * y, 1);
       for (int z = 0; z < 4; ++z)
-        for (int x = 0; x < 4; ++x) fwd_lift(b + 16 * z + x, 4);
+        for (int x = 0; x < 4; ++x) zfp_fwd_lift4(b + 16 * z + x, 4);
       for (int y = 0; y < 4; ++y)
-        for (int x = 0; x < 4; ++x) fwd_lift(b + 4 * y + x, 16);
+        for (int x = 0; x < 4; ++x) zfp_fwd_lift4(b + 4 * y + x, 16);
       break;
   }
 }
@@ -120,21 +84,22 @@ void inv_xform(Int* b, int nd) {
     kernels::zfp_inv_xform_block(b, nd);
     return;
   }
+  using kernels::zfp_inv_lift4;
   switch (nd) {
     case 1:
-      inv_lift(b, 1);
+      zfp_inv_lift4(b, 1);
       break;
     case 2:
-      for (int x = 0; x < 4; ++x) inv_lift(b + x, 4);
-      for (int y = 0; y < 4; ++y) inv_lift(b + 4 * y, 1);
+      for (int x = 0; x < 4; ++x) zfp_inv_lift4(b + x, 4);
+      for (int y = 0; y < 4; ++y) zfp_inv_lift4(b + 4 * y, 1);
       break;
     default:
       for (int y = 0; y < 4; ++y)
-        for (int x = 0; x < 4; ++x) inv_lift(b + 4 * y + x, 16);
+        for (int x = 0; x < 4; ++x) zfp_inv_lift4(b + 4 * y + x, 16);
       for (int z = 0; z < 4; ++z)
-        for (int x = 0; x < 4; ++x) inv_lift(b + 16 * z + x, 4);
+        for (int x = 0; x < 4; ++x) zfp_inv_lift4(b + 16 * z + x, 4);
       for (int z = 0; z < 4; ++z)
-        for (int y = 0; y < 4; ++y) inv_lift(b + 16 * z + 4 * y, 1);
+        for (int y = 0; y < 4; ++y) zfp_inv_lift4(b + 16 * z + 4 * y, 1);
       break;
   }
 }

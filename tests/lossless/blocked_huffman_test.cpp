@@ -44,8 +44,8 @@ TEST(BlockedHuffman, SubBlockRoundTrip) {
 }
 
 TEST(BlockedHuffman, MultiBlockRoundTrip) {
-  // Several times entropy_block_symbols() so the directory has real fan-out.
-  const std::size_t n = 3 * entropy_block_symbols() + 123;
+  // Several times kEntropyBlockSymbols so the directory has real fan-out.
+  const std::size_t n = 3 * kEntropyBlockSymbols + 123;
   auto syms = gaussian_codes(n, 13, 65536);
   auto stream = blocked_encode(syms, 65536);
   EXPECT_EQ(blocked_decode(stream), syms);
@@ -53,9 +53,9 @@ TEST(BlockedHuffman, MultiBlockRoundTrip) {
 }
 
 TEST(BlockedHuffman, ExactBlockBoundaryRoundTrip) {
-  for (std::size_t n : {entropy_block_symbols() - 1, entropy_block_symbols(),
-                        entropy_block_symbols() + 1,
-                        2 * entropy_block_symbols()}) {
+  for (std::size_t n : {kEntropyBlockSymbols - 1, kEntropyBlockSymbols,
+                        kEntropyBlockSymbols + 1,
+                        2 * kEntropyBlockSymbols}) {
     auto syms = gaussian_codes(n, 17 + n, 512);
     auto stream = blocked_encode(syms, 512);
     EXPECT_EQ(blocked_decode(stream), syms) << "n=" << n;
@@ -63,7 +63,7 @@ TEST(BlockedHuffman, ExactBlockBoundaryRoundTrip) {
 }
 
 TEST(BlockedHuffman, BytesIdenticalForAnyThreadCount) {
-  const std::size_t n = 2 * entropy_block_symbols() + 77;
+  const std::size_t n = 2 * kEntropyBlockSymbols + 77;
   auto syms = gaussian_codes(n, 19, 4096);
   auto one = blocked_encode(syms, 4096, 1);
   for (std::size_t threads : {2u, 3u, 8u})
@@ -103,15 +103,6 @@ TEST(BlockedHuffman, CorruptDirectoryThrows) {
   corrupt_at(4, ~std::uint64_t{0}, 8);   // symbol count
   corrupt_at(16, 0, 4);                  // block size = 0
   corrupt_at(20, 0xffffffffu, 4);        // block count mismatch
-}
-
-TEST(BlockedHuffman, EnvKnobChangesBlockSizeOncePerProcess) {
-  // The knob is latched on first use; this just checks the cached value
-  // stays inside the documented clamp range and is stable.
-  std::size_t block = entropy_block_symbols();
-  EXPECT_GE(block, std::size_t{4096});
-  EXPECT_LE(block, std::size_t{1} << 24);
-  EXPECT_EQ(entropy_block_symbols(), block);
 }
 
 }  // namespace
