@@ -528,7 +528,7 @@ TEST(CliEndToEnd, StatsJsonEmitsPerStageSpansForEveryScheme) {
     EXPECT_NE(text.find("\"schema\": \"transpwr-stats-v1\""),
               std::string::npos)
         << name;
-    // The registry decorator wraps every registered scheme, so each run
+    // The registry records a span around every registered scheme, so each run
     // must carry a per-scheme compress span (nested under the chunked
     // pipeline when the slab runs on the calling thread) and the codec
     // byte counters.

@@ -35,6 +35,11 @@ TEST(Registry, CompressorReportsItsScheme) {
   }
 }
 
+TEST(Registry, OutOfRangeSchemeIsAParamError) {
+  EXPECT_THROW(make_compressor(static_cast<Scheme>(8)), ParamError);
+  EXPECT_THROW(make_compressor(static_cast<Scheme>(255)), ParamError);
+}
+
 TEST(Registry, DoubleInterfaceWorks) {
   std::vector<double> data(1000);
   for (std::size_t i = 0; i < data.size(); ++i)
