@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <utility>
 
 #include "common/bytestream.h"
 #include "common/checksum.h"
@@ -218,23 +217,6 @@ TEST(Temporal, SzInterpInnerCodecCarriesAnInterpPayload) {
     expect_bounded(snap.span(), dec.decompress_snapshot(stream, &dims), br);
     EXPECT_EQ(dims, snap.dims);
     snap = gen::evolve(snap, 700 + static_cast<std::uint64_t>(t));
-  }
-}
-
-TEST(Temporal, InnerMagicMatchesTheCodecByte) {
-  TransformedParams p;
-  p.rel_bound = 1e-2;
-  auto snap = gen::cesm_cloud_fraction(Dims(16, 16), 12);
-  const std::pair<InnerCodec, std::uint32_t> cases[] = {
-      {InnerCodec::kSz, 0x315A5354u},  // "TSZ1"
-      {InnerCodec::kZfp, 0x31504654u},  // "TFP1"
-      {InnerCodec::kSzInterp, 0x31495A53u}};  // "SZI1"
-  for (auto [codec, magic] : cases) {
-    TemporalCompressor enc(codec, p);
-    auto key = enc.compress_snapshot(snap.span(), snap.dims);
-    auto delta = enc.compress_snapshot(snap.span(), snap.dims);
-    EXPECT_EQ(inner_magic(key), magic);
-    EXPECT_EQ(inner_magic(delta), magic);
   }
 }
 

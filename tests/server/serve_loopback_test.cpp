@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -765,23 +766,35 @@ TEST(ClientResponses, HostilePayloadDimsAreStreamErrors) {
     reply.put_sized(std::vector<std::uint8_t>(4 * d0));
     const auto load_reply = reply.take();
     net::Listener listener(0);
+    std::exception_ptr peer_error;
     std::thread peer([&] {
-      net::Socket sock = listener.accept();
-      net::Frame f;
-      while (net::read_frame(sock, 1u << 20, 5000, -1, &f)) {
-        std::vector<std::uint8_t> echo(net::kMagic, net::kMagic + 5);
-        echo.insert(echo.end(), f.body.begin(), f.body.end());
-        const bool ping = f.op == static_cast<std::uint16_t>(net::Op::kPing);
-        net::write_frame(sock, net::encode_frame(f.op, 0, f.seq,
-                                                 ping ? echo : load_reply));
+      try {
+        net::Socket sock = listener.accept();
+        net::Frame f;
+        while (net::read_frame(sock, 1u << 20, 5000, -1, &f)) {
+          std::vector<std::uint8_t> echo(net::kMagic, net::kMagic + 5);
+          echo.insert(echo.end(), f.body.begin(), f.body.end());
+          const bool ping =
+              f.op == static_cast<std::uint16_t>(net::Op::kPing);
+          net::write_frame(sock, net::encode_frame(f.op, 0, f.seq,
+                                                   ping ? echo : load_reply));
+        }
+      } catch (...) {
+        peer_error = std::current_exception();
       }
     });
-    struct Join {
-      std::thread& t;
-      ~Join() { t.join(); }
-    } join{peer};
-    net::Client client("127.0.0.1", listener.port());
-    return client.load("a.tpar", "f");
+    net::RemotePayload out;
+    std::exception_ptr client_error;
+    try {
+      net::Client client("127.0.0.1", listener.port());
+      out = client.load("a.tpar", "f");
+    } catch (...) {
+      client_error = std::current_exception();
+    }
+    peer.join();
+    EXPECT_FALSE(peer_error) << "the scripted peer failed";
+    if (client_error) std::rethrow_exception(client_error);
+    return out;
   };
   EXPECT_EQ(load_with_reply(1, 3).dims, Dims(3));
   EXPECT_THROW(load_with_reply(9, 1), StreamError);
